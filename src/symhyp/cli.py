@@ -53,12 +53,9 @@ VERB_EXPERIMENTS = {
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
+    # float() first: numpy 2 scalars repr as "np.float64(...)"
     if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -104,16 +101,16 @@ def _run_solve(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
                    cfl_factor=cfg.cfl_factor)
     grid = scenario.grid
     comp_cols = [f"u_{j + 1}" for j in range(scenario.n_comp)]
+    xs, ts = grid.x.tolist(), grid.t.tolist()
     rows = []
-    for n, tv in enumerate(grid.t):
-        for i, xv in enumerate(grid.x):
-            rows.append((i, n, float(xv), float(tv),
-                         *result.u.values[n, i, :]))
+    for n, tv in enumerate(ts):
+        for i, (xv, uv) in enumerate(zip(xs, result.u.values[n].tolist())):
+            rows.append((i, n, xv, tv, *uv))
     _write_csv(out / "solution.csv", ("i", "n", "x", "t", *comp_cols), rows)
     trows = []
-    for k, side in enumerate(SIDES):
-        for n, tv in enumerate(grid.t):
-            trows.append((side, float(tv), *result.traces[k, n, :]))
+    for side, trace in zip(SIDES, result.traces.tolist()):
+        for tv, uv in zip(ts, trace):
+            trows.append((side, tv, *uv))
     _write_csv(out / "traces.csv", ("side", "t", *comp_cols), trows)
     print(f"solve: scheme={result.scheme} cfl_used={result.cfl_used!r} "
           f"cfl_limit={result.cfl_limit!r}")

@@ -286,17 +286,6 @@ def symmetry_defect(field: MatrixField, grid: SpaceTimeGrid) -> float:
     return float(np.max(np.abs(vals - np.swapaxes(vals, -1, -2))))
 
 
-def sample_vector(field: VectorField, grid: SpaceTimeGrid) -> np.ndarray:
-    x, t = grid.meshgrid()
-    vals = field(x, t)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise FieldEvaluationError(
-            f"source {field.label or '<unnamed>'} non-finite at node "
-            f"(i={bad[1]}, n={bad[0]})")
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # small symmetric eigenvalue bounds
 # ---------------------------------------------------------------------------

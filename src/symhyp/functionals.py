@@ -19,14 +19,19 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import GridMismatchError
 from .fields import (
-    NORMALS,
     SIDES,
     GridFunction,
     MatrixField,
     Scenario,
+    central_derivative,
     sample_field,
 )
-from .hypotheses import BoundaryLabel, classify_boundary_series
+from .hypotheses import (
+    BoundaryLabel,
+    boundary_flux,
+    classify_boundary_series,
+    weight_matrix,
+)
 from .solver import SolveResult
 
 
@@ -76,13 +81,6 @@ def _check_same_grid(u: GridFunction, scenario: Scenario) -> None:
             f"component count {u.n_comp} != scenario size {scenario.n_comp}")
 
 
-def _boundary_flux_series(scenario: Scenario, side: str) -> np.ndarray:
-    """nu * h1 at one boundary point for every time node, (nt, n, n)."""
-    grid = scenario.grid
-    xb = grid.x_lo if side == "x_lo" else grid.x_hi
-    return NORMALS[side] * scenario.h1(np.asarray(xb), grid.t)
-
-
 def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
                    s: float, labels: np.ndarray | None = None) -> CarlemanTerms:
     """Evaluate all six weighted integrals for one sample and one s.
@@ -124,7 +122,7 @@ def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
         col = 0 if side == "x_lo" else grid.nx - 1
         ub = u.values[:, col, :]
         wb = weight[:, col]
-        flux = np.abs(_quad_form(_boundary_flux_series(scenario, side), ub))
+        flux = np.abs(_quad_form(boundary_flux(scenario, side, t), ub))
         is_minus = np.array([lab is BoundaryLabel.MINUS for lab in labels[k]])
         lhs_gamma_minus += s * trapezoid(np.where(is_minus, flux * wb, 0.0),
                                          t)
@@ -198,7 +196,7 @@ def energy_ledger(u, scenario: Scenario,
     for k, side in enumerate(SIDES):
         col = 0 if side == "x_lo" else grid.nx - 1
         ub = u.values[:, col, :]
-        flux = _quad_form(_boundary_flux_series(scenario, side), ub)
+        flux = _quad_form(boundary_flux(scenario, side, t), ub)
         is_plus = np.array([lab is BoundaryLabel.PLUS for lab in labels[k]])
         outflow += np.where(is_plus, flux, 0.0)
         rest += np.where(is_plus, 0.0, np.sum(ub ** 2, axis=-1))
@@ -234,8 +232,7 @@ def observability_ratio(result: SolveResult) -> float:
 # discrete identity defects
 # ---------------------------------------------------------------------------
 
-def _interior_max(field: np.ndarray, axis_name: str,
-                  exclude_t: bool, exclude_x: bool) -> float:
+def _interior_max(field: np.ndarray, exclude_t: bool, exclude_x: bool) -> float:
     sl_t = slice(1, -1) if exclude_t else slice(None)
     sl_x = slice(1, -1) if exclude_x else slice(None)
     return float(np.max(np.abs(field[sl_t, sl_x])))
@@ -252,16 +249,13 @@ def ibp_identity_defect(r_field: MatrixField, w: GridFunction,
     """
     grid = w.grid
     rm = sample_field(r_field, grid)
-    spacing = grid.hx if axis == "x" else grid.ht
-    ax = 1 if axis == "x" else 0
-    dw = np.gradient(w.values, spacing, axis=ax, edge_order=2)
-    drm = np.gradient(rm, spacing, axis=ax, edge_order=2)
-    quad = _quad_form(rm, w.values)
-    dquad = np.gradient(quad, spacing, axis=ax, edge_order=2)
+    dw = central_derivative(w.values, axis, grid)
+    drm = central_derivative(rm, axis, grid)
+    dquad = central_derivative(_quad_form(rm, w.values), axis, grid)
     defect = (np.einsum("txab,txb,txa->tx", rm, dw, w.values)
               - 0.5 * dquad
               + 0.5 * _quad_form(drm, w.values))
-    return _interior_max(defect, axis, exclude_t=(axis == "t"),
+    return _interior_max(defect, exclude_t=(axis == "t"),
                          exclude_x=(axis == "x"))
 
 
@@ -286,15 +280,14 @@ def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
     h1m = sample_field(scenario.h1, grid)
 
     def principal(vals):
-        vt = np.gradient(vals, grid.ht, axis=0, edge_order=2)
-        vx = np.gradient(vals, grid.hx, axis=1, edge_order=2)
+        vt = central_derivative(vals, "t", grid)
+        vx = central_derivative(vals, "x", grid)
         return (np.einsum("txab,txb->txa", h0m, vt)
                 + np.einsum("txab,txb->txa", h1m, vx))
 
     lhs = egrow * principal(edecay * w)
 
-    etax = scenario.eta.derivative(grid.x)[None, :, None, None]
-    a_field = -scenario.beta * h0m + etax * h1m
+    a_field = weight_matrix(scenario, h0m, h1m)
     rhs = principal(w) - s * np.einsum("txab,txb->txa", a_field, w)
 
     return float(np.max(np.abs((lhs - rhs)[1:-1, 1:-1])))

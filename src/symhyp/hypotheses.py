@@ -43,6 +43,13 @@ def _classify(lmin: np.ndarray, lmax: np.ndarray) -> np.ndarray:
     return out
 
 
+def boundary_flux(scenario: Scenario, side: str, t) -> np.ndarray:
+    """Normal flux matrix nu * h1 at one boundary point, t.shape + (n, n)."""
+    grid = scenario.grid
+    xb = grid.x_lo if side == "x_lo" else grid.x_hi
+    return NORMALS[side] * scenario.h1(xb, t)
+
+
 def classify_boundary(scenario: Scenario, t: float) -> dict[str, BoundaryLabel]:
     """Label both boundary points at one time as PLUS / MINUS / NEITHER.
 
@@ -52,9 +59,7 @@ def classify_boundary(scenario: Scenario, t: float) -> dict[str, BoundaryLabel]:
     """
     labels = {}
     for side in SIDES:
-        xb = scenario.grid.x_lo if side == "x_lo" else scenario.grid.x_hi
-        mat = NORMALS[side] * scenario.h1(np.asarray(xb), np.asarray(float(t)))
-        lmin, lmax = eig_bounds(mat)
+        lmin, lmax = eig_bounds(boundary_flux(scenario, side, float(t)))
         labels[side] = _classify(np.atleast_1d(lmin), np.atleast_1d(lmax))[0]
     return labels
 
@@ -66,12 +71,9 @@ def classify_boundary_series(scenario: Scenario) -> np.ndarray:
     point may change class along the way, and the weighted boundary
     quadratures respect the per-node label.
     """
-    t = scenario.grid.t
     out = np.empty((2, scenario.grid.nt), dtype=object)
     for k, side in enumerate(SIDES):
-        xb = scenario.grid.x_lo if side == "x_lo" else scenario.grid.x_hi
-        mats = NORMALS[side] * scenario.h1(np.asarray(xb), t)
-        lmin, lmax = eig_bounds(mats)
+        lmin, lmax = eig_bounds(boundary_flux(scenario, side, scenario.grid.t))
         out[k] = _classify(lmin, lmax)
     return out
 
@@ -107,6 +109,16 @@ def _argmin_node(values: np.ndarray, grid: SpaceTimeGrid) -> tuple[float, float]
     return grid.node(int(i), int(n))
 
 
+def weight_matrix(scenario: Scenario, h0m: np.ndarray,
+                  h1m: np.ndarray) -> np.ndarray:
+    """(d_t phi) h0 + (d_x phi) h1 = -beta h0 + eta'(x) h1 on node samples.
+
+    h0m, h1m are (nt, nx, n, n) samples on the scenario grid.
+    """
+    etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
+    return -scenario.beta * h0m + etax * h1m
+
+
 def check_weight_coercivity(scenario: Scenario,
                             margin: float = 0.0) -> CoercivityCheck:
     """Smallest eigenvalue of (d_t phi) h0 + (d_x phi) h1 over all nodes.
@@ -118,10 +130,8 @@ def check_weight_coercivity(scenario: Scenario,
     hiding between nodes of non-affine coefficients.
     """
     grid = scenario.grid
-    h0 = sample_field(scenario.h0, grid)
-    h1 = sample_field(scenario.h1, grid)
-    etax = scenario.eta.derivative(grid.x)[None, :, None, None]
-    a_field = -scenario.beta * h0 + etax * h1
+    a_field = weight_matrix(scenario, sample_field(scenario.h0, grid),
+                            sample_field(scenario.h1, grid))
     lmin, _ = eig_bounds(a_field)
     value = float(lmin.min())
     wx, wt = _argmin_node(lmin, grid)

@@ -19,6 +19,7 @@ provides the constant-speed scalar analytic solution used as an oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .fields import (
     GridFunction,
     Scenario,
     SpaceTimeGrid,
+    central_derivative,
     eig_bounds,
     sample_field,
 )
@@ -74,16 +76,6 @@ def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1)
 
 
-def _require_spd(h0m: np.ndarray, grid: SpaceTimeGrid, trow: float,
-                 xcoords: np.ndarray) -> None:
-    lmin, _ = eig_bounds(h0m)
-    if lmin.min() <= 0.0:
-        i = int(np.argmin(lmin))
-        raise SingularCoefficientError(
-            f"h0 is not positive definite at x={xcoords[i]}, t={trow} "
-            f"(lambda_min={lmin.min()!r})")
-
-
 def max_char_speed(scenario: Scenario) -> float:
     """Fastest characteristic speed over all grid nodes."""
     grid = scenario.grid
@@ -119,34 +111,43 @@ def admissible_time_nodes(scenario: Scenario,
     return max(2, steps + 1)
 
 
-class _RowCoeffs:
-    """Coefficient samples on one time row, with the derived per-node data."""
+def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
+    """Characteristic closure at one boundary node as (P_out, P_in).
+
+    With the generalized eigenbasis V of (flux, h0b), V.T @ h0b @ V = I, the
+    closed boundary state is u_b = P_out @ extrap + P_in @ g: outgoing and
+    non-propagating characteristics keep the extrapolated state, incoming
+    ones take the inflow data g.  P_in is None when nothing enters.
+    """
+    lam, vecs = scipy.linalg.eigh(flux, h0b)
+    incoming = lam < -SPEED_TOL
+    v_out, v_in = vecs[:, ~incoming], vecs[:, incoming]
+    p_out = v_out @ (v_out.T @ h0b)
+    p_in = v_in @ (v_in.T @ h0b) if incoming.any() else None
+    return p_out, p_in
+
+
+class _Row:
+    """Everything one marcher step needs from the coefficients at time trow.
+
+    h1, inv(h0) and p on the row; the Rusanov interface speeds a_r, a_l of
+    the interior nodes; and per side the closure projectors (P_out, P_in).
+    h0 must already be known positive definite on the row.
+    """
 
     def __init__(self, scenario: Scenario, trow: float):
-        grid = scenario.grid
-        x = grid.x
+        x = scenario.grid.x
         tval = np.asarray(trow)
-        self.h0 = scenario.h0(x, tval)
+        h0 = scenario.h0(x, tval)
         self.h1 = scenario.h1(x, tval)
-        _require_spd(self.h0, grid, trow, x)
-        self.inv_h0 = np.linalg.inv(self.h0)
-        self.speeds = _char_speeds(self.h0, self.h1)
+        self.inv_h0 = np.linalg.inv(h0)
         self.p = scenario.p(x, tval) if scenario.p is not None else None
-
-
-def _boundary_basis(scenario: Scenario, side: str, trow: float):
-    """Generalized eigenbasis of (nu * h1, h0) at one boundary node.
-
-    Returns (speeds, V, h0b) with V normalized so V.T @ h0b @ V = I; the
-    characteristic coordinates of a state g are then V.T @ h0b @ g.
-    """
-    grid = scenario.grid
-    xb = grid.x_lo if side == "x_lo" else grid.x_hi
-    tval = np.asarray(trow)
-    h0b = scenario.h0(np.asarray(xb), tval)
-    flux = NORMALS[side] * scenario.h1(np.asarray(xb), tval)
-    lam, vecs = scipy.linalg.eigh(flux, h0b)
-    return lam, vecs, h0b
+        speeds = _char_speeds(h0, self.h1)
+        self.a_r = np.maximum(speeds[1:-1], speeds[2:])[:, None]
+        self.a_l = np.maximum(speeds[:-2], speeds[1:-1])[:, None]
+        self.closure = {
+            side: _closure_projectors(NORMALS[side] * self.h1[ib], h0[ib])
+            for side, ib in zip(SIDES, (0, -1))}
 
 
 def _normalize_initial(initial, grid: SpaceTimeGrid, n_comp: int) -> np.ndarray:
@@ -195,21 +196,22 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
             f"{cfl_factor!r}*hx/alpha with alpha={alpha!r}; "
             f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
 
+    # the one place that decides which coefficient row each step sees
     static = (scenario.h0.time_independent and scenario.h1.time_independent
               and (scenario.p is None or scenario.p.time_independent))
-    coeffs = _RowCoeffs(scenario, 0.0) if static else None
-    bases = ({side: _boundary_basis(scenario, side, 0.0) for side in SIDES}
-             if static else None)
+    if static:
+        rows = itertools.repeat(_Row(scenario, 0.0), nt)
+    else:
+        rows = (_Row(scenario, tv) for tv in grid.t)
 
     u = np.empty((nt, nx, n))
     u[0] = _normalize_initial(initial, grid, n)
     tgrid = grid.t
     lam_c = ht / (2.0 * hx)
 
-    for step in range(nt - 1):
+    for step, (row, nxt) in enumerate(itertools.pairwise(rows)):
         tn = float(tgrid[step])
         tn1 = float(tgrid[step + 1])
-        row = coeffs if static else _RowCoeffs(scenario, tn)
         un = u[step]
 
         # interior: central transport + Rusanov dissipation + lower order
@@ -219,29 +221,18 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
         if scenario.source is not None:
             rhs = rhs - scenario.source(grid.x, np.asarray(tn))[1:-1]
         upd = un[1:-1] - ht * np.einsum("iab,ib->ia", row.inv_h0[1:-1], rhs)
-        a_r = np.maximum(row.speeds[1:-1], row.speeds[2:])
-        a_l = np.maximum(row.speeds[:-2], row.speeds[1:-1])
-        upd = upd + lam_c * (a_r[:, None] * (un[2:] - un[1:-1])
-                             - a_l[:, None] * (un[1:-1] - un[:-2]))
+        upd = upd + lam_c * (row.a_r * (un[2:] - un[1:-1])
+                             - row.a_l * (un[1:-1] - un[:-2]))
         u[step + 1, 1:-1] = upd
 
         # characteristic closure at both boundary nodes, at the new time
-        for side in SIDES:
-            lam, vecs, h0b = (bases[side] if static
-                              else _boundary_basis(scenario, side, tn1))
-            if side == "x_lo":
-                extrap = 2.0 * u[step + 1, 1] - u[step + 1, 2]
-                ib = 0
-            else:
-                extrap = 2.0 * u[step + 1, -2] - u[step + 1, -3]
-                ib = nx - 1
-            coords = vecs.T @ (h0b @ extrap)
-            incoming = lam < -SPEED_TOL
-            if incoming.any():
-                g = _inflow_value(inflow, side, tn1, n)
-                coords_in = vecs.T @ (h0b @ g)
-                coords = np.where(incoming, coords_in, coords)
-            u[step + 1, ib] = vecs @ coords
+        un1 = u[step + 1]
+        for side, (ib, i1, i2) in zip(SIDES, ((0, 1, 2), (-1, -2, -3))):
+            p_out, p_in = nxt.closure[side]
+            ub = p_out @ (2.0 * un1[i1] - un1[i2])
+            if p_in is not None:
+                ub = ub + p_in @ _inflow_value(inflow, side, tn1, n)
+            un1[ib] = ub
 
     traces = np.stack([u[:, 0, :], u[:, -1, :]])
     return SolveResult(u=GridFunction(grid, u), traces=traces,
@@ -263,8 +254,8 @@ def residual(u: GridFunction, scenario: Scenario) -> GridFunction:
     grid = scenario.grid
     h0m = sample_field(scenario.h0, grid)
     h1m = sample_field(scenario.h1, grid)
-    ut = np.gradient(u.values, grid.ht, axis=0, edge_order=2)
-    ux = np.gradient(u.values, grid.hx, axis=1, edge_order=2)
+    ut = central_derivative(u.values, "t", grid)
+    ux = central_derivative(u.values, "x", grid)
     out = (np.einsum("txab,txb->txa", h0m, ut)
            + np.einsum("txab,txb->txa", h1m, ux))
     if scenario.p is not None:

@@ -1,5 +1,7 @@
 """Config parsing/round-trip, scenario resolution, CLI runs and artifacts."""
 
+import csv
+
 import pytest
 
 from symhyp import ConfigError, parse_config, resolve_scenario, serialize_config
@@ -179,6 +181,22 @@ class TestCliRuns:
         nt = len(traces[1:]) // 2
         assert len(sol) == 1 + 21 * nt
         assert sol[0] == "i,n,x,t,u_1"
+
+    def test_solve_csv_cells_are_plain_numbers(self, tmp_path):
+        cfg = _cfg_file(tmp_path, "scenario: coupled-varying\n"
+                                  "grid: {nx: 11}\nT: 0.2\n"
+                                  f"out_dir: {tmp_path}/out\n")
+        assert main(["solve", "--config", cfg]) == 0
+        for name in ("solution.csv", "traces.csv"):
+            with open(tmp_path / "out" / name, newline="") as fh:
+                header, *body = list(csv.reader(fh))
+            assert body
+            for row in body:
+                for col, cell in zip(header, row):
+                    if col == "side":
+                        assert cell in ("x_lo", "x_hi")
+                    else:
+                        float(cell)  # raises on "np.float64(...)"
 
     def test_observe_counterexample_block(self, tmp_path, capsys):
         cfg = _cfg_file(

@@ -48,16 +48,33 @@ class TestSolve:
         assert err < 2e-2
 
     def test_convergence_order_on_smooth_oracle(self):
-        # compatible inflow keeps the solution smooth; first-order scheme
-        errors = []
-        for nx in (101, 201, 401):
-            sc = transport_scenario(nx, 0.5)
-            inflow = {"x_lo": lambda t: np.sin(np.pi * (0.0 - t))}
-            res = solve(sc, lambda x: np.sin(np.pi * x), inflow=inflow)
-            exact = np.sin(np.pi * (sc.grid.x - 0.5))[:, None]
-            errors.append(l2_x(res.u.values[-1] - exact, sc.grid.hx))
-        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-        assert np.all(orders >= 0.9)
+        # compatible inflow keeps the solution smooth; first-order scheme.
+        # Exact solution sin(pi (x - X(t))) for speed c(t) = X'(t): constant
+        # c = 1 on the static path, c = 1 + 0.5 sin 4t on the per-row path.
+        def speed(x, t):
+            return (1.0 + 0.5 * np.sin(4.0 * t) + 0.0 * x)[..., None, None]
+
+        varying = SymMatrixField(1, speed, time_independent=False)
+
+        def varying_scenario(nx):
+            # ht = 0.5 hx / max c: Courant number 0.5 at the fastest speed
+            grid = SpaceTimeGrid(0.0, 1.0, 0.5, nx, 3 * (nx - 1) // 2 + 1)
+            return replace(transport_scenario(nx, 0.5), h1=varying,
+                           grid=grid)
+
+        cases = [(lambda nx: transport_scenario(nx, 0.5), lambda t: t),
+                 (varying_scenario,
+                  lambda t: t + (1.0 - np.cos(4.0 * t)) / 8.0)]
+        for make, shift in cases:
+            errors = []
+            for nx in (101, 201, 401):
+                sc = make(nx)
+                inflow = {"x_lo": lambda t: np.sin(np.pi * (0.0 - shift(t)))}
+                res = solve(sc, lambda x: np.sin(np.pi * x), inflow=inflow)
+                exact = np.sin(np.pi * (sc.grid.x - shift(0.5)))[:, None]
+                errors.append(l2_x(res.u.values[-1] - exact, sc.grid.hx))
+            orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+            assert np.all(orders >= 0.9)
 
     def test_traces_equal_boundary_columns(self):
         sc = transport_scenario(51, 0.5)
@@ -117,6 +134,20 @@ class TestSolve:
         expect = a * s1.u.values + b * s2.u.values
         scale = np.max(np.abs(expect))
         assert np.max(np.abs(s12.u.values - expect)) <= 1e-10 * scale
+
+    def test_time_dependent_flag_keeps_static_result(self):
+        # same coefficient values through the per-row path: identical bits
+        sc = build_scenario("coupled-varying", nx=51, t_final=0.5)
+        h1 = sc.h1
+        flagged = replace(sc, h1=SymMatrixField(h1.n_comp, h1.fn, h1.label,
+                                                time_independent=False))
+        u0 = np.column_stack([np.sin(np.pi * sc.grid.x),
+                              np.sin(2 * np.pi * sc.grid.x)])
+        inflow = {"x_lo": lambda t: [np.sin(t), 0.5 * t]}
+        static = solve(sc, u0, inflow=inflow)
+        per_row = solve(flagged, u0, inflow=inflow)
+        assert np.array_equal(static.u.values, per_row.u.values)
+        assert np.array_equal(static.traces, per_row.traces)
 
     def test_coupled_varying_runs_stably(self):
         sc = build_scenario("coupled-varying", nx=101, t_final=1.0)
