@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 from .fields import Scenario, SpaceTimeGrid, SpatialWeight, SymMatrixField
 from .hypotheses import check_hypotheses
-from .solver import CFL_DEFAULT, admissible_time_nodes
+from .solver import CFL_DEFAULT, auto_time_nodes
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def build_scenario(name: str, nx: int = 201, nt: int | None = None,
     probe = Scenario(name=entry.name, grid=probe_grid, n_comp=entry.n_comp,
                      h0=entry.h0, h1=entry.h1, eta=weight, beta=b)
     if nt is None:
-        nt = admissible_time_nodes(probe, cfl_factor)
+        nt = auto_time_nodes(probe, cfl_factor)
     return replace(probe, grid=SpaceTimeGrid(domain[0], domain[1], t_fin,
                                              nx, nt))
 

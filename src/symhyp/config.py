@@ -28,7 +28,7 @@ from .fields import (
     SymMatrixField,
 )
 from .hypotheses import check_eta_coercivity, check_h0_bounds, select_beta
-from .solver import admissible_time_nodes
+from .solver import auto_time_nodes
 
 EXPERIMENTS = ("hypotheses", "solve", "carleman-scan", "observability",
                "energy", "identities")
@@ -421,7 +421,7 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
                             h0=h0, h1=h1, eta=SpatialWeight.linear(*cfg.eta),
                             beta=float(beta0), p=p)
         nt = cfg.nt if cfg.nt is not None else \
-            admissible_time_nodes(scenario, cfg.cfl_factor)
+            auto_time_nodes(scenario, cfg.cfl_factor)
         scenario = scenario.with_grid(
             SpaceTimeGrid(cfg.domain[0], cfg.domain[1], t_fin, cfg.nx, nt))
         info["beta_source"] = "auto" if auto_beta else "config"

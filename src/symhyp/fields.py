@@ -427,19 +427,24 @@ def random_smooth_gridfunction(grid: SpaceTimeGrid, n_comp: int, seed: int,
     theta = rng.uniform(0.0, 2.0 * np.pi, (n_comp, modes, modes))
     psi = rng.uniform(0.0, 2.0 * np.pi, (n_comp, modes, modes))
 
-    x, t = grid.meshgrid()
-    xh = (x - grid.x_lo) / (grid.x_hi - grid.x_lo)
-    th = t / grid.t_final
-    vals = np.zeros(grid.shape + (n_comp,))
-    for j in range(n_comp):
-        acc = np.zeros(grid.shape)
-        for ki in range(modes):
-            for mi in range(modes):
-                scale = float((ki + 1) * (mi + 1)) ** (-decay)
-                acc += (amp[j, ki, mi] * scale
-                        * np.sin((ki + 1) * np.pi * xh + theta[j, ki, mi])
-                        * np.sin((mi + 1) * np.pi * th + psi[j, ki, mi]))
-        vals[:, :, j] = acc
+    # sin(a + b) = sin a cos b + cos a sin b splits every term into an x
+    # factor and a t factor: component j is B(xh) C_j B(th)^T with the
+    # basis B(h) = [sin(k pi h) | cos(k pi h)]
+    wave = np.arange(1, modes + 1.0)
+    coef = amp * np.outer(wave, wave) ** (-decay)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(psi), np.sin(psi)
+    cmat = np.block([[coef * ct * cp, coef * ct * sp],
+                     [coef * st * cp, coef * st * sp]])
+
+    def basis(h):
+        arg = np.pi * np.outer(h, wave)
+        return np.hstack([np.sin(arg), np.cos(arg)])
+
+    xh = (grid.x - grid.x_lo) / (grid.x_hi - grid.x_lo)
+    th = grid.t / grid.t_final
+    vals = np.einsum("xk,jkm,tm->txj", basis(xh), cmat, basis(th),
+                     optimize=True)
     return GridFunction(grid, vals)
 
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import GridMismatchError
 from .fields import (
@@ -68,6 +67,18 @@ class CarlemanTerms:
                 self.rhs_source, self.rhs_gamma_rest, self.rhs_terminal)
 
 
+def trapezoid(y, x=None, dx: float = 1.0):
+    """Trapezoid rule along the last axis, on the nodes `x` or at spacing dx."""
+    d = dx if x is None else np.diff(x)
+    return np.sum(d * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+
+
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of a series on the nodes x, from 0."""
+    return np.concatenate(
+        ([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _quad_form(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """(M v . v) over matching leading axes."""
     return np.einsum("...ab,...b,...a->...", mats, vecs, vecs)
@@ -112,9 +123,9 @@ def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
         _quad_form(h0_last, u.values[-1]) * weight[-1], dx=hx)
 
     sq = np.sum(u.values ** 2, axis=-1)
-    lhs_volume = s * s * trapezoid(trapezoid(sq * weight, dx=hx, axis=1), dx=ht)
+    lhs_volume = s * s * trapezoid(trapezoid(sq * weight, dx=hx), dx=ht)
     fsq = np.sum(source.values ** 2, axis=-1)
-    rhs_source = trapezoid(trapezoid(fsq * weight, dx=hx, axis=1), dx=ht)
+    rhs_source = trapezoid(trapezoid(fsq * weight, dx=hx), dx=ht)
 
     lhs_gamma_minus = 0.0
     rhs_gamma_rest = 0.0
@@ -123,7 +134,7 @@ def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
         ub = u.values[:, col, :]
         wb = weight[:, col]
         flux = np.abs(_quad_form(boundary_flux(scenario, side, t), ub))
-        is_minus = np.array([lab is BoundaryLabel.MINUS for lab in labels[k]])
+        is_minus = labels[k] == BoundaryLabel.MINUS
         lhs_gamma_minus += s * trapezoid(np.where(is_minus, flux * wb, 0.0),
                                          t)
         rest = np.sum(ub ** 2, axis=-1) * wb
@@ -189,7 +200,7 @@ def energy_ledger(u, scenario: Scenario,
     grid = scenario.grid
     t = grid.t
 
-    energy = trapezoid(np.sum(u.values ** 2, axis=-1), dx=grid.hx, axis=1)
+    energy = trapezoid(np.sum(u.values ** 2, axis=-1), dx=grid.hx)
 
     outflow = np.zeros(grid.nt)
     rest = np.zeros(grid.nt)
@@ -197,11 +208,11 @@ def energy_ledger(u, scenario: Scenario,
         col = 0 if side == "x_lo" else grid.nx - 1
         ub = u.values[:, col, :]
         flux = _quad_form(boundary_flux(scenario, side, t), ub)
-        is_plus = np.array([lab is BoundaryLabel.PLUS for lab in labels[k]])
+        is_plus = labels[k] == BoundaryLabel.PLUS
         outflow += np.where(is_plus, flux, 0.0)
         rest += np.where(is_plus, 0.0, np.sum(ub ** 2, axis=-1))
 
-    cum_out = cumulative_trapezoid(outflow, t, initial=0.0)
+    cum_out = cumulative_trapezoid(outflow, t)
     return EnergyLedger(
         times=t,
         energy=energy,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CflViolationError, GridMismatchError, SingularCoefficientError
 from .fields import (
@@ -60,19 +59,22 @@ class SolveResult:
     scheme: str = "rusanov-characteristic"
 
 
-def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
-    """Largest |generalized eigenvalue| of (h1, h0) per node.
+def _whiten(h0m: np.ndarray, h1m: np.ndarray):
+    """Cholesky whitening of the pencil (h1, h0) per node: (L, L^-1 h1 L^-T).
 
-    h0 is whitened with a Cholesky factor, so h0 must already be checked
-    positive definite.
+    h0 = L L^T, so the symmetric matrix returned has the generalized
+    eigenvalues of (h1, h0).  h0 must already be checked positive definite.
     """
-    n = h0m.shape[-1]
-    if n == 1:
-        return np.abs(h1m[..., 0, 0] / h0m[..., 0, 0])
     chol = np.linalg.cholesky(h0m)
     y = np.linalg.solve(chol, h1m)
-    sym = np.linalg.solve(chol, np.swapaxes(y, -1, -2))
-    w = np.linalg.eigvalsh(sym)
+    return chol, np.linalg.solve(chol, np.swapaxes(y, -1, -2))
+
+
+def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
+    """Largest |generalized eigenvalue| of (h1, h0) per node."""
+    if h0m.shape[-1] == 1:
+        return np.abs(h1m[..., 0, 0] / h0m[..., 0, 0])
+    w = np.linalg.eigvalsh(_whiten(h0m, h1m)[1])
     return np.abs(w).max(axis=-1)
 
 
@@ -111,15 +113,38 @@ def admissible_time_nodes(scenario: Scenario,
     return max(2, steps + 1)
 
 
+def auto_time_nodes(scenario: Scenario,
+                    cfl_factor: float = CFL_DEFAULT) -> int:
+    """nt that the marcher accepts on the scenario's x grid and horizon.
+
+    The Courant bound of a grid depends on the speeds at its own time nodes,
+    so admissible_time_nodes is recomputed on each candidate grid, starting
+    from nt=2 (t=0 and t=T only), until nt stops growing.  Static
+    coefficients settle after one step.
+    """
+    grid = scenario.grid
+    nt = 2
+    while True:
+        candidate = scenario.with_grid(SpaceTimeGrid(
+            grid.x_lo, grid.x_hi, grid.t_final, grid.nx, nt))
+        need = admissible_time_nodes(candidate, cfl_factor)
+        if need <= nt:
+            return nt
+        nt = need
+
+
 def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
     """Characteristic closure at one boundary node as (P_out, P_in).
 
-    With the generalized eigenbasis V of (flux, h0b), V.T @ h0b @ V = I, the
+    With the generalized eigenbasis V of (flux, h0b), V.T @ h0b @ V = I,
+    taken as V = L^-T W from the eigenvectors W of the whitened pencil, the
     closed boundary state is u_b = P_out @ extrap + P_in @ g: outgoing and
     non-propagating characteristics keep the extrapolated state, incoming
     ones take the inflow data g.  P_in is None when nothing enters.
     """
-    lam, vecs = scipy.linalg.eigh(flux, h0b)
+    chol, sym = _whiten(h0b, flux)
+    lam, w = np.linalg.eigh(sym)
+    vecs = np.linalg.solve(chol.T, w)
     incoming = lam < -SPEED_TOL
     v_out, v_in = vecs[:, ~incoming], vecs[:, incoming]
     p_out = v_out @ (v_out.T @ h0b)

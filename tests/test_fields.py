@@ -197,6 +197,29 @@ class TestRandomEnsembles:
         assert np.allclose(fine.values[::2, ::2], coarse.values,
                            rtol=0, atol=1e-13)
 
+    def test_matches_loop_form(self):
+        # the series summed term by term, as its docstring states it
+        grid = SpaceTimeGrid(0.5, 2.0, 1.5, 41, 63)
+        n_comp, seed, modes, decay = 3, 13, 5, 1.5
+        rng = np.random.default_rng(seed)
+        amp = rng.standard_normal((n_comp, modes, modes))
+        theta = rng.uniform(0.0, 2.0 * np.pi, (n_comp, modes, modes))
+        psi = rng.uniform(0.0, 2.0 * np.pi, (n_comp, modes, modes))
+        x, t = grid.meshgrid()
+        xh = (x - grid.x_lo) / (grid.x_hi - grid.x_lo)
+        th = t / grid.t_final
+        ref = np.zeros(grid.shape + (n_comp,))
+        for j in range(n_comp):
+            for k in range(1, modes + 1):
+                for m in range(1, modes + 1):
+                    ref[:, :, j] += (
+                        amp[j, k - 1, m - 1] * float(k * m) ** (-decay)
+                        * np.sin(k * np.pi * xh + theta[j, k - 1, m - 1])
+                        * np.sin(m * np.pi * th + psi[j, k - 1, m - 1]))
+        gf = random_smooth_gridfunction(grid, n_comp, seed=seed, modes=modes,
+                                        decay=decay)
+        assert np.max(np.abs(gf.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_modes_validated(self, unit_grid):
         with pytest.raises(ValueError):
             random_smooth_gridfunction(unit_grid, 1, seed=0, modes=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from symhyp import (
     GridFunction,
@@ -27,6 +28,8 @@ from symhyp import (
     residual,
     solve,
 )
+
+from symhyp.functionals import cumulative_trapezoid, trapezoid
 
 from conftest import midpoint_2d, midpoint_t, midpoint_x, scalar_scenario
 
@@ -208,6 +211,33 @@ class TestHomogeneityAndMonotonicity:
             assert terms.rhs_source >= 0.0
             assert terms.rhs_gamma_rest >= 0.0
             assert terms.rhs_terminal >= 0.0  # h0 bounds hold here
+
+
+class TestLocalTrapezoid:
+    """The module's own trapezoid pair does scipy's arithmetic, bit for bit."""
+
+    @pytest.fixture
+    def samples(self):
+        grid = SpaceTimeGrid(0.0, 1.0, 2.0, 101, 1449)
+        rng = np.random.default_rng(5)
+        return grid, rng.standard_normal(grid.shape)
+
+    def test_dx_calls(self, samples):
+        grid, vals = samples
+        rows = trapezoid(vals, dx=grid.hx)
+        assert np.array_equal(rows, integrate.trapezoid(vals, dx=grid.hx,
+                                                        axis=1))
+        assert np.array_equal(trapezoid(rows, dx=grid.ht),
+                              integrate.trapezoid(rows, dx=grid.ht))
+
+    def test_node_calls(self, samples):
+        grid, vals = samples
+        series = vals[:, 0]
+        assert np.array_equal(trapezoid(series, grid.t),
+                              integrate.trapezoid(series, grid.t))
+        assert np.array_equal(
+            cumulative_trapezoid(series, grid.t),
+            integrate.cumulative_trapezoid(series, grid.t, initial=0.0))
 
 
 class TestEnergyLedger:

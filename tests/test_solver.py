@@ -1,9 +1,17 @@
 """Time stepper: oracles, conservation properties, refusals, linearity."""
 
+import importlib
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
+import scipy.linalg
 from scipy.integrate import trapezoid
+
+import symhyp
 
 from symhyp import (
     CflViolationError,
@@ -17,9 +25,13 @@ from symhyp import (
     VectorField,
     build_scenario,
     exact_transport,
+    parse_config,
     residual,
+    resolve_scenario,
     solve,
 )
+from symhyp.catalog import CatalogEntry
+from symhyp.solver import SPEED_TOL, _closure_projectors
 
 from conftest import scalar_scenario, system_scenario
 
@@ -156,6 +168,79 @@ class TestSolve:
         res = solve(sc, u0)
         assert np.all(np.isfinite(res.u.values))
         assert np.max(np.abs(res.u.values[-1])) <= np.max(np.abs(u0)) * 1.01
+
+
+class TestClosureProjectors:
+    @staticmethod
+    def reference(flux, h0b):
+        """Projectors from the generalized eigenproblem solved by LAPACK."""
+        lam, vecs = scipy.linalg.eigh(flux, h0b)
+        incoming = lam < -SPEED_TOL
+        v_out, v_in = vecs[:, ~incoming], vecs[:, incoming]
+        p_in = v_in @ (v_in.T @ h0b) if incoming.any() else None
+        return v_out @ (v_out.T @ h0b), p_in
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("zero_speed", [False, True])
+    def test_match_generalized_eigh(self, n, zero_speed):
+        rng = np.random.default_rng(10 * n + zero_speed)
+        a = rng.standard_normal((n, n))
+        h0b = a @ a.T + 0.5 * np.eye(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        speeds = rng.uniform(0.5, 2.0, n) * np.array([-1.0, 1.0, -1.0][:n])
+        if zero_speed:
+            speeds[0] = 0.0
+        flux = q @ np.diag(speeds) @ q.T
+        flux = 0.5 * (flux + flux.T)
+
+        p_out, p_in = _closure_projectors(flux, h0b)
+        ref_out, ref_in = self.reference(flux, h0b)
+        np.testing.assert_allclose(p_out, ref_out, rtol=0, atol=1e-12)
+        assert (p_in is None) == (ref_in is None)
+        total = p_out
+        if p_in is not None:
+            np.testing.assert_allclose(p_in, ref_in, rtol=0, atol=1e-12)
+            total = p_out + p_in
+        np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
+
+
+class TestAutoTimeNodes:
+    @pytest.fixture
+    def pulsing_catalog(self, monkeypatch):
+        # speed 1 + 0.5 sin 4t peaks at t = pi/8, between t=0 and t=T=0.5
+        def h1(x, t):
+            return (1.0 + 0.5 * np.sin(4.0 * t))[..., None, None]
+
+        entry = CatalogEntry(
+            name="pulsing", description="scalar transport, pulsing speed",
+            n_comp=1, h0=SymMatrixField.constant([[1.0]], label="h0=1"),
+            h1=SymMatrixField(1, h1, label="h1", time_independent=False),
+            default_beta=0.5, default_t_final=0.5)
+        # the package re-exports the function catalog() under the module name
+        for name in ("symhyp.catalog", "symhyp.config"):
+            monkeypatch.setattr(importlib.import_module(name), "catalog",
+                                lambda: {"pulsing": entry})
+
+    @pytest.mark.parametrize("route", ["build_scenario", "resolve_scenario"])
+    def test_auto_nt_accepted_for_time_dependent_speed(self, pulsing_catalog,
+                                                       route):
+        if route == "build_scenario":
+            sc = build_scenario("pulsing", nx=201, t_final=0.5)
+        else:
+            cfg = parse_config("scenario: pulsing\ngrid: {nx: 201}\nT: 0.5\n")
+            sc, _ = resolve_scenario(cfg)
+        res = solve(sc, lambda x: np.sin(np.pi * x))
+        assert res.cfl_used <= 0.5 * (1 + 1e-12)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(symhyp.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import symhyp, symhyp.cli; print('scipy' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestResidual:
