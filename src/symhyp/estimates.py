@@ -37,7 +37,6 @@ from .hypotheses import (
     check_h0_bounds,
     check_hypotheses,
     check_weight_coercivity,
-    classify_boundary_series,
     minimal_time,
 )
 from .solver import CFL_DEFAULT, residual, solve
@@ -116,23 +115,50 @@ def _stabilized_tail(s_grid: tuple[float, ...],
     return s0_hat, c_hat
 
 
+def _usable_max(values) -> float:
+    """Largest non-nan value; nan when there is none."""
+    return max((v for v in values if not math.isnan(v)), default=math.nan)
+
+
+def _two_grids(scenario: Scenario, members, ensemble: int, make_member,
+               run_pass, constant, refine: bool):
+    """(members, coarse, fine, drift) of a pass and its refined rerun.
+
+    run_pass(scenario, members) runs on the scenario grid; when `members`
+    is None they are make_member(grid, i) for i < ensemble.  With `refine`,
+    generated members are resampled on the node-doubled grid and the pass
+    rerun there; drift is the relative change of constant(pass), None when
+    the coarse constant is 0 or not finite.  Explicit members cannot be
+    resampled, so they are never refined.
+    """
+    generated = members is None
+    if generated:
+        members = [make_member(scenario.grid, i) for i in range(ensemble)]
+    coarse = run_pass(scenario, members)
+    if not (refine and generated):
+        return members, coarse, None, None
+    fine_scenario = scenario.with_grid(scenario.grid.refined())
+    fine = run_pass(fine_scenario, [make_member(fine_scenario.grid, i)
+                                    for i in range(len(members))])
+    c0 = constant(coarse)
+    drift = (abs(constant(fine) - c0) / abs(c0)
+             if math.isfinite(c0) and c0 != 0.0 else None)
+    return members, coarse, fine, drift
+
+
 def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
                members: list[GridFunction]) -> ScanPass:
-    labels = classify_boundary_series(scenario)
     rows = []
     degenerate = 0
-    per_s: dict[float, float] = {s: -math.inf for s in s_grid}
     for idx, u in enumerate(members):
         if not np.any(u.values):
             degenerate += 1
         src = residual(u, scenario)
         for s in s_grid:
-            terms = carleman_terms(u, src, scenario, s, labels=labels)
-            ratio = carleman_ratio(terms)
-            rows.append(ScanRow(member=idx, s=s, terms=terms, ratio=ratio))
-            if not math.isnan(ratio):
-                per_s[s] = max(per_s[s], ratio)
-    rho = tuple(per_s[s] if per_s[s] != -math.inf else math.nan
+            terms = carleman_terms(u, src, scenario, s)
+            rows.append(ScanRow(member=idx, s=s, terms=terms,
+                                ratio=carleman_ratio(terms)))
+    rho = tuple(_usable_max(r.ratio for r in rows if r.s == s)
                 for s in s_grid)
     s0_hat, c_hat = _stabilized_tail(s_grid, rho)
     return ScanPass(nx=scenario.grid.nx, nt=scenario.grid.nt,
@@ -164,27 +190,12 @@ def scan_carleman(scenario: Scenario, ensemble: int = 20,
             f"{weight.value!r} at x={weight.worst_x!r}, t={weight.worst_t!r}",
             check_hypotheses(scenario))
     s_grid = tuple(float(s) for s in s_grid)
-
-    generated = members is None
-    if generated:
-        members = [random_smooth_gridfunction(scenario.grid, scenario.n_comp,
-                                              seed + i, modes=modes,
-                                              decay=decay)
-                   for i in range(ensemble)]
-    coarse = _scan_pass(scenario, s_grid, members)
-
-    fine = None
-    drift = None
-    if refine and generated:
-        fine_scenario = scenario.with_grid(scenario.grid.refined())
-        fine_members = [random_smooth_gridfunction(fine_scenario.grid,
-                                                   scenario.n_comp, seed + i,
-                                                   modes=modes, decay=decay)
-                        for i in range(len(members))]
-        fine = _scan_pass(fine_scenario, s_grid, fine_members)
-        if math.isfinite(coarse.c_hat) and coarse.c_hat != 0.0:
-            drift = abs(fine.c_hat - coarse.c_hat) / abs(coarse.c_hat)
-
+    members, coarse, fine, drift = _two_grids(
+        scenario, members, ensemble,
+        make_member=lambda grid, i: random_smooth_gridfunction(
+            grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
+        run_pass=lambda sc, ms: _scan_pass(sc, s_grid, ms),
+        constant=lambda scan_pass: scan_pass.c_hat, refine=refine)
     return CarlemanScanReport(scenario=scenario.name, s_grid=s_grid,
                               ensemble=len(members), coarse=coarse,
                               fine=fine, drift=drift)
@@ -267,21 +278,18 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         else:
             raise ValueError(f"unknown initial_kind {initial_kind!r}")
 
-    ratios = []
-    degenerate = 0
-    for u0 in members:
-        result = solve(scenario, u0, inflow=None, cfl_factor=cfl_factor)
-        r = observability_ratio(result)
-        if math.isnan(r):
-            degenerate += 1
-        ratios.append(r)
+    # no reference to a solution outlives its ratio, so the next member's
+    # march does not hold two solution arrays at once
+    ratios = [observability_ratio(solve(scenario, u0, inflow=None,
+                                        cfl_factor=cfl_factor))
+              for u0 in members]
 
-    usable = [r for r in ratios if not math.isnan(r)]
-    c_obs = max(usable) if usable else math.nan
-    all_finite = bool(usable) and all(math.isfinite(r) for r in usable)
-    observable = scenario.grid.t_final > t_min and all_finite
+    # ratios are >= 0, so the largest usable one is finite exactly when
+    # there is one and every usable ratio is finite
+    c_obs = _usable_max(ratios)
+    observable = scenario.grid.t_final > t_min and math.isfinite(c_obs)
     counterexample = None
-    if not observable and usable:
+    if not observable and not math.isnan(c_obs):
         worst = int(np.nanargmax([r if not math.isnan(r) else -math.inf
                                   for r in ratios]))
         counterexample = {"member": worst, "ratio": ratios[worst],
@@ -291,7 +299,7 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         ratios=tuple(ratios), c_obs=c_obs,
         verdict="OBSERVABLE" if observable else "COUNTEREXAMPLE",
         warnings=tuple(warnings), counterexample=counterexample,
-        degenerate=degenerate)
+        degenerate=sum(map(math.isnan, ratios)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +322,9 @@ class EnergyEstimateReport:
 
 
 def _energy_pass(scenario: Scenario, members, cfl_factor: float):
-    labels = classify_boundary_series(scenario)
-    ratios = []
-    degenerate = 0
-    for u0 in members:
-        result = solve(scenario, u0, inflow=None, cfl_factor=cfl_factor)
-        ledger = energy_ledger(result, scenario, labels=labels)
-        r = ledger.max_ratio
-        if math.isnan(r):
-            degenerate += 1
-        ratios.append(r)
-    return ratios, degenerate
+    return [energy_ledger(solve(scenario, u0, inflow=None,
+                                cfl_factor=cfl_factor), scenario).max_ratio
+            for u0 in members]
 
 
 def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,
@@ -338,40 +338,22 @@ def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,
     members (zero data) are excluded; with refine=True the same initial
     profiles are resampled on the node-doubled grid for a drift estimate.
     """
+    scenario = _homogeneous(scenario)
     h0b = check_h0_bounds(scenario)
     if not h0b.passed:
         raise HypothesisRefusal(
             f"h0 bounds fail on {scenario.name}: delta1={h0b.delta1!r} "
             f"at x={h0b.worst_x!r}, t={h0b.worst_t!r}",
             check_hypotheses(scenario))
-    scenario = _homogeneous(scenario)
-
-    generated = members is None
-    if generated:
-        members = [random_initial_profile(scenario.grid, scenario.n_comp,
-                                          seed + i, modes=modes, decay=decay)
-                   for i in range(ensemble)]
-    ratios, degenerate = _energy_pass(scenario, members, cfl_factor)
-    usable = [r for r in ratios if not math.isnan(r)]
-    c_energy = max(usable) if usable else math.nan
-
-    ratios_fine = None
-    c_fine = None
-    drift = None
-    if refine and generated:
-        fine_scenario = scenario.with_grid(scenario.grid.refined())
-        fine_members = [random_initial_profile(fine_scenario.grid,
-                                               scenario.n_comp, seed + i,
-                                               modes=modes, decay=decay)
-                        for i in range(len(members))]
-        rf, _ = _energy_pass(fine_scenario, fine_members, cfl_factor)
-        ratios_fine = tuple(rf)
-        uf = [r for r in rf if not math.isnan(r)]
-        c_fine = max(uf) if uf else math.nan
-        if math.isfinite(c_energy) and c_energy != 0.0:
-            drift = abs(c_fine - c_energy) / abs(c_energy)
-
+    _, ratios, fine, drift = _two_grids(
+        scenario, members, ensemble,
+        make_member=lambda grid, i: random_initial_profile(
+            grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
+        run_pass=lambda sc, ms: _energy_pass(sc, ms, cfl_factor),
+        constant=_usable_max, refine=refine)
     return EnergyEstimateReport(
-        scenario=scenario.name, ratios=tuple(ratios), c_energy=c_energy,
-        ratios_fine=ratios_fine, c_energy_fine=c_fine, drift=drift,
-        degenerate=degenerate)
+        scenario=scenario.name, ratios=tuple(ratios),
+        c_energy=_usable_max(ratios),
+        ratios_fine=None if fine is None else tuple(fine),
+        c_energy_fine=None if fine is None else _usable_max(fine),
+        drift=drift, degenerate=sum(map(math.isnan, ratios)))

@@ -12,7 +12,8 @@ extension would not change signatures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +34,10 @@ EIG_SYMMETRY_TOL = 1e-10
 #: boundary sides in d = 1, with their outward normals
 SIDES = ("x_lo", "x_hi")
 NORMALS = {"x_lo": -1.0, "x_hi": 1.0}
+
+#: strictness tolerance for the boundary partition: PLUS needs
+#: lambda_min > STRICT_TOL, MINUS needs lambda_max <= STRICT_TOL
+STRICT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -247,23 +252,18 @@ class VectorField:
             out = np.broadcast_to(out, want)
         return out
 
-    @classmethod
-    def zero(cls, n_comp: int) -> "VectorField":
-        def fn(x, t):
-            shape = np.broadcast_shapes(x.shape, t.shape)
-            return np.zeros(shape + (n_comp,))
-        return cls(n_comp, fn, label="zero")
-
 
 def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
     """Evaluate a matrix field at every node, shape (nt, nx, n, n).
 
-    Raises FieldEvaluationError naming the first offending node if any entry
-    is non-finite, and AsymmetricFieldError if a SymMatrixField violates the
-    sampled-symmetry tolerance.
+    The result is read-only; a time-independent field is evaluated on the
+    first time row only and broadcast over t.  Raises FieldEvaluationError
+    naming the first offending node if any entry is non-finite, and
+    AsymmetricFieldError if a SymMatrixField violates the sampled-symmetry
+    tolerance.
     """
     x, t = grid.meshgrid()
-    vals = field(x, t)
+    vals = field(x, t[:1] if field.time_independent else t)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         xi, tn = grid.node(int(bad[1]), int(bad[0]))
@@ -276,7 +276,7 @@ def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
             raise AsymmetricFieldError(
                 f"field {field.label or '<unnamed>'} symmetry defect "
                 f"{defect:.3e} exceeds {SYMMETRY_TOL}", defect)
-    return vals
+    return np.broadcast_to(vals, grid.shape + vals.shape[2:])
 
 
 def symmetry_defect(field: MatrixField, grid: SpaceTimeGrid) -> float:
@@ -327,6 +327,13 @@ def eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0], w[..., -1]
 
 
+def boundary_classes(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(PLUS, MINUS) masks of normal flux matrices nu * h1: positive definite
+    and negative semidefinite to STRICT_TOL; the rest is NEITHER."""
+    lmin, lmax = eig_bounds(flux)
+    return lmin > STRICT_TOL, lmax <= STRICT_TOL
+
+
 # ---------------------------------------------------------------------------
 # weight profile and scenarios
 # ---------------------------------------------------------------------------
@@ -358,6 +365,42 @@ class SpatialWeight:
             return np.full_like(np.asarray(x, dtype=float), slope)
 
         return cls(fn, deriv, label=f"linear(a={slope}, b={offset})")
+
+
+class GridSamples:
+    """Coefficient samples of one scenario on its grid.
+
+    h0, h1 and p are (nt, nx, n, n), or (1, nx, n, n) to be broadcast over t
+    for a time-independent field; p is None when the scenario has none.
+    flux is nu * h1 at x_lo and x_hi for every time node, (2, nt, n, n) in
+    SIDES order, and plus / minus are its boundary classes, (2, nt).  Every
+    caller shares these arrays, so they are read-only.
+    """
+
+    def __init__(self, scenario: Scenario):
+        grid = scenario.grid
+
+        def rows(fld):
+            vals = sample_field(fld, grid)
+            return vals[:1] if fld.time_independent else vals
+
+        self.h0, self.h1 = rows(scenario.h0), rows(scenario.h1)
+        self.p = None if scenario.p is None else rows(scenario.p)
+        self.flux = np.stack([boundary_flux(scenario, side, grid.t)
+                              for side in SIDES])
+        self.plus, self.minus = boundary_classes(self.flux)
+        for arr in (self.flux, self.plus, self.minus):
+            arr.flags.writeable = False
+        x, t = grid.meshgrid()
+        self._eta_x, self._beta_t = scenario.eta(x), scenario.beta * t
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """phi = eta(x) - beta t at every node, (nt, nx), built on first use:
+        only the weighted quadratures need this full-grid array."""
+        phi = self._eta_x - self._beta_t
+        phi.flags.writeable = False
+        return phi
 
 
 @dataclass(frozen=True)
@@ -392,17 +435,33 @@ class Scenario:
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be finite and >= 0 (got {self.beta})")
 
-    def phi(self, x, t) -> np.ndarray:
-        return self.eta(x) - self.beta * np.asarray(t, dtype=float)
+    @cached_property
+    def samples(self) -> GridSamples:
+        """Coefficient samples on this scenario's grid, filled on first use.
 
-    def phi_grid(self) -> np.ndarray:
-        """phi at every node, shape (nt, nx)."""
-        x, t = self.grid.meshgrid()
-        return self.eta(x) - self.beta * t
+        with_grid and replace return a new Scenario, so each grid gets its
+        own samples.
+        """
+        return GridSamples(self)
 
     def with_grid(self, grid: SpaceTimeGrid) -> "Scenario":
-        from dataclasses import replace
         return replace(self, grid=grid)
+
+
+def boundary_flux(scenario: Scenario, side: str, t) -> np.ndarray:
+    """Normal flux matrix nu * h1 at one boundary point, t.shape + (n, n)."""
+    grid = scenario.grid
+    xb = grid.x_lo if side == "x_lo" else grid.x_hi
+    return NORMALS[side] * scenario.h1(xb, t)
+
+
+def check_same_grid(u: GridFunction, scenario: Scenario) -> None:
+    """Refuse a grid function sampled on another grid or system size."""
+    if u.grid != scenario.grid:
+        raise GridMismatchError("grid function lives on a different grid")
+    if u.n_comp != scenario.n_comp:
+        raise GridMismatchError(
+            f"component count {u.n_comp} != scenario size {scenario.n_comp}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,21 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
 from .fields import (
-    SIDES,
     GridFunction,
     MatrixField,
     Scenario,
     central_derivative,
+    check_same_grid,
     sample_field,
 )
-from .hypotheses import (
-    BoundaryLabel,
-    boundary_flux,
-    classify_boundary_series,
-    weight_matrix,
-)
+from .hypotheses import weight_matrix
 from .solver import SolveResult
 
 
@@ -84,61 +78,44 @@ def _quad_form(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...b,...a->...", mats, vecs, vecs)
 
 
-def _check_same_grid(u: GridFunction, scenario: Scenario) -> None:
-    if u.grid != scenario.grid:
-        raise GridMismatchError("grid function lives on a different grid")
-    if u.n_comp != scenario.n_comp:
-        raise GridMismatchError(
-            f"component count {u.n_comp} != scenario size {scenario.n_comp}")
-
-
 def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
-                   s: float, labels: np.ndarray | None = None) -> CarlemanTerms:
+                   s: float) -> CarlemanTerms:
     """Evaluate all six weighted integrals for one sample and one s.
 
-    `labels` is the per-(side, time) boundary classification; it is computed
-    from the scenario when omitted.  Boundary quadratures include a node only
-    when its label at that time matches the set being integrated; the
-    complement of the minus set takes both PLUS and NEITHER labels.
+    Boundary quadratures include a node only when its class at that time
+    matches the set being integrated; the complement of the minus set takes
+    both PLUS and NEITHER nodes.
     """
-    _check_same_grid(u, scenario)
-    _check_same_grid(source, scenario)
-    if labels is None:
-        labels = classify_boundary_series(scenario)
+    check_same_grid(u, scenario)
+    check_same_grid(source, scenario)
+    samples = scenario.samples
     grid = scenario.grid
     hx, ht = grid.hx, grid.ht
     t = grid.t
 
-    phi = scenario.phi_grid()
+    phi = samples.phi
     phi_max = float(phi.max())
     weight = np.exp(2.0 * s * (phi - phi_max))
 
-    x_row = grid.x
-    h0_first = scenario.h0(x_row, np.asarray(0.0))
-    h0_last = scenario.h0(x_row, np.asarray(grid.t_final))
-
     lhs_initial = s * trapezoid(
-        _quad_form(h0_first, u.values[0]) * weight[0], dx=hx)
+        _quad_form(samples.h0[0], u.values[0]) * weight[0], dx=hx)
     rhs_terminal = s * trapezoid(
-        _quad_form(h0_last, u.values[-1]) * weight[-1], dx=hx)
+        _quad_form(samples.h0[-1], u.values[-1]) * weight[-1], dx=hx)
 
     sq = np.sum(u.values ** 2, axis=-1)
     lhs_volume = s * s * trapezoid(trapezoid(sq * weight, dx=hx), dx=ht)
     fsq = np.sum(source.values ** 2, axis=-1)
     rhs_source = trapezoid(trapezoid(fsq * weight, dx=hx), dx=ht)
 
-    lhs_gamma_minus = 0.0
-    rhs_gamma_rest = 0.0
-    for k, side in enumerate(SIDES):
-        col = 0 if side == "x_lo" else grid.nx - 1
-        ub = u.values[:, col, :]
-        wb = weight[:, col]
-        flux = np.abs(_quad_form(boundary_flux(scenario, side, t), ub))
-        is_minus = labels[k] == BoundaryLabel.MINUS
-        lhs_gamma_minus += s * trapezoid(np.where(is_minus, flux * wb, 0.0),
-                                         t)
-        rest = np.sum(ub ** 2, axis=-1) * wb
-        rhs_gamma_rest += s * trapezoid(np.where(is_minus, 0.0, rest), t)
+    # x_lo and x_hi columns, SIDES first like the samples: (2, nt, ...)
+    ub = np.stack([u.values[:, 0], u.values[:, -1]])
+    wb = np.stack([weight[:, 0], weight[:, -1]])
+    flux = np.abs(_quad_form(samples.flux, ub))
+    rest = np.sum(ub ** 2, axis=-1) * wb
+    lhs_gamma_minus = np.sum(
+        s * trapezoid(np.where(samples.minus, flux * wb, 0.0), t))
+    rhs_gamma_rest = np.sum(
+        s * trapezoid(np.where(samples.minus, 0.0, rest), t))
 
     return CarlemanTerms(
         s=float(s),
@@ -186,31 +163,25 @@ class EnergyLedger:
         return float(np.max(self.lemma_lhs) / self.rhs_core)
 
 
-def energy_ledger(u, scenario: Scenario,
-                  labels: np.ndarray | None = None) -> EnergyLedger:
+def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
     """Assemble the energy balance for a solution sample.
 
     Accepts a SolveResult or a bare GridFunction.
     """
     if isinstance(u, SolveResult):
         u = u.u
-    _check_same_grid(u, scenario)
-    if labels is None:
-        labels = classify_boundary_series(scenario)
+    check_same_grid(u, scenario)
+    samples = scenario.samples
     grid = scenario.grid
     t = grid.t
 
     energy = trapezoid(np.sum(u.values ** 2, axis=-1), dx=grid.hx)
 
-    outflow = np.zeros(grid.nt)
-    rest = np.zeros(grid.nt)
-    for k, side in enumerate(SIDES):
-        col = 0 if side == "x_lo" else grid.nx - 1
-        ub = u.values[:, col, :]
-        flux = _quad_form(boundary_flux(scenario, side, t), ub)
-        is_plus = labels[k] == BoundaryLabel.PLUS
-        outflow += np.where(is_plus, flux, 0.0)
-        rest += np.where(is_plus, 0.0, np.sum(ub ** 2, axis=-1))
+    ub = np.stack([u.values[:, 0], u.values[:, -1]])
+    flux = _quad_form(samples.flux, ub)
+    outflow = np.sum(np.where(samples.plus, flux, 0.0), axis=0)
+    rest = np.sum(np.where(samples.plus, 0.0, np.sum(ub ** 2, axis=-1)),
+                  axis=0)
 
     cum_out = cumulative_trapezoid(outflow, t)
     return EnergyLedger(
@@ -230,10 +201,8 @@ def observability_ratio(result: SolveResult) -> float:
     grid = result.u.grid
     num = math.sqrt(trapezoid(np.sum(result.u.values[0] ** 2, axis=-1),
                               dx=grid.hx))
-    den_sq = 0.0
-    for k in range(len(SIDES)):
-        den_sq += trapezoid(np.sum(result.traces[k] ** 2, axis=-1), dx=grid.ht)
-    den = math.sqrt(den_sq)
+    den = math.sqrt(np.sum(trapezoid(np.sum(result.traces ** 2, axis=-1),
+                                     dx=grid.ht)))
     if den == 0.0:
         return math.nan if num == 0.0 else math.inf
     return num / den
@@ -279,26 +248,23 @@ def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
     coefficient is excluded: it commutes with the conjugation exactly.
     Max over nodes interior in both directions.
     """
-    _check_same_grid(u, scenario)
+    check_same_grid(u, scenario)
+    samples = scenario.samples
     grid = scenario.grid
-    phi = scenario.phi_grid()
-    shift = phi - phi.max()
+    shift = samples.phi - samples.phi.max()
     egrow = np.exp(s * shift)[..., None]
     edecay = np.exp(-s * shift)[..., None]
     w = egrow * u.values
 
-    h0m = sample_field(scenario.h0, grid)
-    h1m = sample_field(scenario.h1, grid)
-
     def principal(vals):
         vt = central_derivative(vals, "t", grid)
         vx = central_derivative(vals, "x", grid)
-        return (np.einsum("txab,txb->txa", h0m, vt)
-                + np.einsum("txab,txb->txa", h1m, vx))
+        return (np.einsum("txab,txb->txa", samples.h0, vt)
+                + np.einsum("txab,txb->txa", samples.h1, vx))
 
     lhs = egrow * principal(edecay * w)
 
-    a_field = weight_matrix(scenario, h0m, h1m)
-    rhs = principal(w) - s * np.einsum("txab,txb->txa", a_field, w)
+    rhs = (principal(w)
+           - s * np.einsum("txab,txb->txa", weight_matrix(scenario), w))
 
     return float(np.max(np.abs((lhs - rhs)[1:-1, 1:-1])))

@@ -16,18 +16,14 @@ import numpy as np
 
 from .errors import BetaSelectionError
 from .fields import (
-    NORMALS,
     SIDES,
     Scenario,
     SpaceTimeGrid,
     SpatialWeight,
+    boundary_classes,
+    boundary_flux,
     eig_bounds,
-    sample_field,
 )
-
-#: strictness tolerance for the boundary partition: PLUS needs
-#: lambda_min > STRICT_TOL, MINUS needs lambda_max <= STRICT_TOL
-STRICT_TOL = 1e-12
 
 
 class BoundaryLabel(enum.Enum):
@@ -36,18 +32,10 @@ class BoundaryLabel(enum.Enum):
     NEITHER = "NEITHER"
 
 
-def _classify(lmin: np.ndarray, lmax: np.ndarray) -> np.ndarray:
-    out = np.full(lmin.shape, BoundaryLabel.NEITHER, dtype=object)
-    out[lmin > STRICT_TOL] = BoundaryLabel.PLUS
-    out[lmax <= STRICT_TOL] = BoundaryLabel.MINUS
-    return out
-
-
-def boundary_flux(scenario: Scenario, side: str, t) -> np.ndarray:
-    """Normal flux matrix nu * h1 at one boundary point, t.shape + (n, n)."""
-    grid = scenario.grid
-    xb = grid.x_lo if side == "x_lo" else grid.x_hi
-    return NORMALS[side] * scenario.h1(xb, t)
+def _labels(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """BoundaryLabel array of the boundary class masks, for display."""
+    return np.where(plus, BoundaryLabel.PLUS,
+                    np.where(minus, BoundaryLabel.MINUS, BoundaryLabel.NEITHER))
 
 
 def classify_boundary(scenario: Scenario, t: float) -> dict[str, BoundaryLabel]:
@@ -57,25 +45,20 @@ def classify_boundary(scenario: Scenario, t: float) -> dict[str, BoundaryLabel]:
     (strictly), MINUS that it is negative semidefinite; the remainder is
     NEITHER, which can be nonempty.
     """
-    labels = {}
-    for side in SIDES:
-        lmin, lmax = eig_bounds(boundary_flux(scenario, side, float(t)))
-        labels[side] = _classify(np.atleast_1d(lmin), np.atleast_1d(lmax))[0]
-    return labels
+    flux = np.stack([boundary_flux(scenario, side, float(t))
+                     for side in SIDES])
+    return dict(zip(SIDES, _labels(*boundary_classes(flux))))
 
 
 def classify_boundary_series(scenario: Scenario) -> np.ndarray:
     """Labels for every (side, time node), shape (2, nt), sides in SIDES order.
 
-    Recomputed per time node: for time-dependent coefficients a boundary
-    point may change class along the way, and the weighted boundary
-    quadratures respect the per-node label.
+    Per time node: for time-dependent coefficients a boundary point may
+    change class along the way, and the weighted boundary quadratures
+    respect the per-node class.
     """
-    out = np.empty((2, scenario.grid.nt), dtype=object)
-    for k, side in enumerate(SIDES):
-        lmin, lmax = eig_bounds(boundary_flux(scenario, side, scenario.grid.t))
-        out[k] = _classify(lmin, lmax)
-    return out
+    samples = scenario.samples
+    return _labels(samples.plus, samples.minus)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +88,21 @@ class H0BoundsCheck:
 
 
 def _argmin_node(values: np.ndarray, grid: SpaceTimeGrid) -> tuple[float, float]:
+    # a one-row (1, nx) array of a time-independent field names n = 0, the
+    # first minimizing node of the full grid as well
     n, i = np.unravel_index(int(np.argmin(values)), values.shape)
     return grid.node(int(i), int(n))
 
 
-def weight_matrix(scenario: Scenario, h0m: np.ndarray,
-                  h1m: np.ndarray) -> np.ndarray:
+def weight_matrix(scenario: Scenario) -> np.ndarray:
     """(d_t phi) h0 + (d_x phi) h1 = -beta h0 + eta'(x) h1 on node samples.
 
-    h0m, h1m are (nt, nx, n, n) samples on the scenario grid.
+    Shape (nt, nx, n, n), or (1, nx, n, n) when h0 and h1 are both
+    time-independent.
     """
+    samples = scenario.samples
     etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
-    return -scenario.beta * h0m + etax * h1m
+    return -scenario.beta * samples.h0 + etax * samples.h1
 
 
 def check_weight_coercivity(scenario: Scenario,
@@ -129,12 +115,9 @@ def check_weight_coercivity(scenario: Scenario,
     sample grid nodes only; a positive `margin` guards against minima
     hiding between nodes of non-affine coefficients.
     """
-    grid = scenario.grid
-    a_field = weight_matrix(scenario, sample_field(scenario.h0, grid),
-                            sample_field(scenario.h1, grid))
-    lmin, _ = eig_bounds(a_field)
+    lmin, _ = eig_bounds(weight_matrix(scenario))
     value = float(lmin.min())
-    wx, wt = _argmin_node(lmin, grid)
+    wx, wt = _argmin_node(lmin, scenario.grid)
     return CoercivityCheck("weight_coercivity", value, value > margin, wx, wt)
 
 
@@ -142,9 +125,8 @@ def check_eta_coercivity(scenario: Scenario,
                          margin: float = 0.0) -> CoercivityCheck:
     """Smallest eigenvalue of (d_x eta) h1 over all nodes (delta0)."""
     grid = scenario.grid
-    h1 = sample_field(scenario.h1, grid)
     etax = scenario.eta.derivative(grid.x)[None, :, None, None]
-    lmin, _ = eig_bounds(etax * h1)
+    lmin, _ = eig_bounds(etax * scenario.samples.h1)
     value = float(lmin.min())
     wx, wt = _argmin_node(lmin, grid)
     return CoercivityCheck("eta_coercivity", value, value > margin, wx, wt)
@@ -152,11 +134,10 @@ def check_eta_coercivity(scenario: Scenario,
 
 def check_h0_bounds(scenario: Scenario, margin: float = 0.0) -> H0BoundsCheck:
     """Spectral bounds of h0: delta1 = min lambda_min, M = max lambda_max."""
-    grid = scenario.grid
-    lmin, lmax = eig_bounds(sample_field(scenario.h0, grid))
+    lmin, lmax = eig_bounds(scenario.samples.h0)
     delta1 = float(lmin.min())
     m_upper = float(lmax.max())
-    wx, wt = _argmin_node(lmin, grid)
+    wx, wt = _argmin_node(lmin, scenario.grid)
     return H0BoundsCheck(delta1, m_upper, delta1 > margin, wx, wt)
 
 

@@ -33,8 +33,8 @@ from .fields import (
     Scenario,
     SpaceTimeGrid,
     central_derivative,
+    check_same_grid,
     eig_bounds,
-    sample_field,
 )
 
 CFL_DEFAULT = 0.5
@@ -48,8 +48,8 @@ class SolveResult:
     """Discrete solution with its boundary traces.
 
     traces has shape (2, nt, n) in SIDES order and equals the boundary
-    columns of u exactly; cfl_used is the Courant number actually run,
-    bounded by cfl_limit.
+    columns of u exactly; cfl_used is the largest Courant number over the
+    coefficient rows actually run, bounded by cfl_limit.
     """
 
     u: GridFunction
@@ -78,27 +78,34 @@ def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1)
 
 
+def _checked_speeds(h0m: np.ndarray, h1m: np.ndarray, x, t) -> np.ndarray:
+    """Largest characteristic speed per node of sampled rows.
+
+    x and t broadcast to the node axes of the samples.  Refuses, naming the
+    node and the eigenvalue, when h0 is not positive definite somewhere.
+    """
+    lmin, _ = eig_bounds(h0m)
+    if lmin.min() <= 0.0:
+        k = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
+        xs, ts = np.broadcast_arrays(x, t)
+        raise SingularCoefficientError(
+            f"h0 is not positive definite at x={float(xs[k])}, "
+            f"t={float(ts[k])} (lambda_min={lmin.min()!r})")
+    return _char_speeds(h0m, h1m)
+
+
 def max_char_speed(scenario: Scenario) -> float:
     """Fastest characteristic speed over all grid nodes."""
     grid = scenario.grid
-    x = grid.x
-    if scenario.h0.time_independent and scenario.h1.time_independent:
-        rows = [0.0]
-    else:
-        rows = grid.t
+    x = grid.x[None, :]
+    static = scenario.h0.time_independent and scenario.h1.time_independent
+    rows = grid.t[:1] if static else grid.t
     alpha = 0.0
     block = 256
     for start in range(0, len(rows), block):
-        tb = np.asarray(rows[start:start + block])[:, None]
-        h0m = scenario.h0(x[None, :], tb)
-        h1m = scenario.h1(x[None, :], tb)
-        lmin, _ = eig_bounds(h0m)
-        if lmin.min() <= 0.0:
-            nrow, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
-            raise SingularCoefficientError(
-                f"h0 is not positive definite at x={x[i]}, "
-                f"t={float(tb[nrow, 0])} (lambda_min={lmin.min()!r})")
-        alpha = max(alpha, float(_char_speeds(h0m, h1m).max()))
+        tb = rows[start:start + block, None]
+        speeds = _checked_speeds(scenario.h0(x, tb), scenario.h1(x, tb), x, tb)
+        alpha = max(alpha, float(speeds.max()))
     return alpha
 
 
@@ -155,19 +162,30 @@ def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
 class _Row:
     """Everything one marcher step needs from the coefficients at time trow.
 
-    h1, inv(h0) and p on the row; the Rusanov interface speeds a_r, a_l of
-    the interior nodes; and per side the closure projectors (P_out, P_in).
-    h0 must already be known positive definite on the row.
+    h1, inv(h0) and p on the row; the row's Courant number cfl; the Rusanov
+    interface speeds a_r, a_l of the interior nodes; and per side the
+    closure projectors (P_out, P_in).  Refuses a row where h0 is not
+    positive definite or whose fastest speed breaks the Courant bound.
     """
 
-    def __init__(self, scenario: Scenario, trow: float):
-        x = scenario.grid.x
+    def __init__(self, scenario: Scenario, trow: float, cfl_factor: float):
+        grid = scenario.grid
+        x = grid.x
         tval = np.asarray(trow)
         h0 = scenario.h0(x, tval)
         self.h1 = scenario.h1(x, tval)
+        speeds = _checked_speeds(h0, self.h1, x, tval)
+        fast = int(np.argmax(speeds))
+        alpha = float(speeds[fast])
+        self.cfl = alpha * grid.ht / grid.hx
+        if self.cfl > cfl_factor * (1 + 1e-12):
+            raise CflViolationError(
+                f"time step ht={grid.ht!r} violates the Courant bound "
+                f"{cfl_factor!r}*hx/alpha with alpha={alpha!r} at "
+                f"x={float(x[fast])!r}, t={float(trow)!r}; "
+                f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
         self.inv_h0 = np.linalg.inv(h0)
         self.p = scenario.p(x, tval) if scenario.p is not None else None
-        speeds = _char_speeds(h0, self.h1)
         self.a_r = np.maximum(speeds[1:-1], speeds[2:])[:, None]
         self.a_l = np.maximum(speeds[:-2], speeds[1:-1])[:, None]
         self.closure = {
@@ -206,35 +224,31 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     missing sides default to zero data.
 
     Refuses to run when the grid time step violates the Courant bound, and
-    when h0 fails to be positive definite at any sampled node.
+    when h0 fails to be positive definite at any sampled node; both are
+    checked on each coefficient row as it is built, so a time-dependent
+    violation can surface partway through the march.
     """
     grid = scenario.grid
     n = scenario.n_comp
     nx, nt = grid.nx, grid.nt
     hx, ht = grid.hx, grid.ht
 
-    alpha = max_char_speed(scenario)
-    cfl_used = alpha * ht / hx
-    if cfl_used > cfl_factor * (1 + 1e-12):
-        raise CflViolationError(
-            f"time step ht={ht!r} violates the Courant bound "
-            f"{cfl_factor!r}*hx/alpha with alpha={alpha!r}; "
-            f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
-
     # the one place that decides which coefficient row each step sees
     static = (scenario.h0.time_independent and scenario.h1.time_independent
               and (scenario.p is None or scenario.p.time_independent))
     if static:
-        rows = itertools.repeat(_Row(scenario, 0.0), nt)
+        rows = itertools.repeat(_Row(scenario, 0.0, cfl_factor), nt)
     else:
-        rows = (_Row(scenario, tv) for tv in grid.t)
+        rows = (_Row(scenario, tv, cfl_factor) for tv in grid.t)
 
     u = np.empty((nt, nx, n))
     u[0] = _normalize_initial(initial, grid, n)
     tgrid = grid.t
     lam_c = ht / (2.0 * hx)
+    cfl_used = 0.0
 
     for step, (row, nxt) in enumerate(itertools.pairwise(rows)):
+        cfl_used = max(cfl_used, row.cfl, nxt.cfl)
         tn = float(tgrid[step])
         tn1 = float(tgrid[step + 1])
         un = u[step]
@@ -271,21 +285,15 @@ def residual(u: GridFunction, scenario: Scenario) -> GridFunction:
     Declaring the result as the source makes any smooth sample a valid
     solution (the manufactured-solution route).
     """
-    if u.grid != scenario.grid:
-        raise GridMismatchError("grid function was sampled on a different grid")
-    if u.n_comp != scenario.n_comp:
-        raise GridMismatchError(
-            f"component count {u.n_comp} != scenario size {scenario.n_comp}")
+    check_same_grid(u, scenario)
+    samples = scenario.samples
     grid = scenario.grid
-    h0m = sample_field(scenario.h0, grid)
-    h1m = sample_field(scenario.h1, grid)
     ut = central_derivative(u.values, "t", grid)
     ux = central_derivative(u.values, "x", grid)
-    out = (np.einsum("txab,txb->txa", h0m, ut)
-           + np.einsum("txab,txb->txa", h1m, ux))
-    if scenario.p is not None:
-        x, t = grid.meshgrid()
-        out = out + np.einsum("txab,txb->txa", scenario.p(x, t), u.values)
+    out = (np.einsum("txab,txb->txa", samples.h0, ut)
+           + np.einsum("txab,txb->txa", samples.h1, ux))
+    if samples.p is not None:
+        out = out + np.einsum("txab,txb->txa", samples.p, u.values)
     return GridFunction(grid, out)
 
 

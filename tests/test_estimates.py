@@ -8,6 +8,10 @@ import pytest
 from symhyp import (
     GridFunction,
     HypothesisRefusal,
+    Scenario,
+    SpaceTimeGrid,
+    SpatialWeight,
+    SymMatrixField,
     build_scenario,
     estimate_observability,
     scan_carleman,
@@ -62,6 +66,30 @@ class TestScanCarleman:
         assert report.fine is not None
         assert report.fine.nx == 101
         assert report.drift is not None and report.drift < 0.2
+
+
+    def test_samples_h1_once_per_grid(self):
+        # every full-row evaluation of h1 is a sampling of it; the boundary
+        # flux evaluates h1 at the two boundary points only
+        sampled = []
+
+        def h1(x, t):
+            if np.ndim(x) == 2:
+                sampled.append(np.shape(x)[1])
+            xb = np.broadcast_to(x, np.broadcast_shapes(np.shape(x),
+                                                        np.shape(t)))
+            return np.array([[2.0, 1.0], [1.0, 2.0]]) + \
+                xb[..., None, None] * np.array([[1.0, 0.0], [0.0, 0.0]])
+
+        sc = Scenario(
+            name="counting", grid=SpaceTimeGrid(0.0, 1.0, 2.0, 11, 41),
+            n_comp=2, h0=SymMatrixField.constant(np.eye(2), label="h0"),
+            h1=SymMatrixField(2, h1, label="h1", time_independent=True),
+            eta=SpatialWeight.linear(1.0), beta=0.5)
+        report = scan_carleman(sc, ensemble=3, s_grid=(1.0, 4.0), seed=0,
+                               refine=True)
+        assert report.fine is not None
+        assert sampled == [11, 21]
 
 
 class TestEstimateObservability:

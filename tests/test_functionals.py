@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from symhyp import (
+    BoundaryLabel,
     GridFunction,
     GridMismatchError,
     Scenario,
@@ -19,6 +20,7 @@ from symhyp import (
     build_scenario,
     carleman_ratio,
     carleman_terms,
+    classify_boundary,
     conjugation_defect,
     energy_ledger,
     exact_transport,
@@ -88,7 +90,7 @@ class TestQuadratureDoubleEntry:
     @staticmethod
     def weight_fn(sc, s):
         # same max-phi gauge the implementation reports in
-        phi_max = float(sc.phi_grid().max())
+        phi_max = float(sc.samples.phi.max())
         return lambda x, t: np.exp(2 * s * (x - sc.beta * t - phi_max))
 
     def test_lhs_initial(self, fixture):
@@ -190,7 +192,7 @@ class TestHomogeneityAndMonotonicity:
                       h0=SymMatrixField.constant([[1.0]]),
                       h1=SymMatrixField.constant([[1.0]]),
                       eta=SpatialWeight.linear(1.0, 1.0), beta=0.5)
-        assert float(sc.phi_grid().min()) >= 0.0
+        assert float(sc.samples.phi.min()) >= 0.0
         u = random_smooth_gridfunction(grid, 1, seed=4)
         f = residual(u, sc)
         logs = []
@@ -263,6 +265,87 @@ class TestEnergyLedger:
                                            [lambda x, t: 1.0 + 0 * x * t])
         ledger = energy_ledger(one, sc)
         assert np.allclose(ledger.energy, 1.0, atol=1e-13)
+
+
+class TestBoundaryClassSwitch:
+    """h0 = I, h1 = diag(1, 1 - t) on T = 2: both boundary points change
+    class at t = 1 (x_hi PLUS -> NEITHER, x_lo MINUS -> NEITHER), and every
+    boundary quadrature must follow the per-node class."""
+
+    @staticmethod
+    def scenario():
+        def h1(x, t):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+            out = np.zeros(shape + (2, 2))
+            out[..., 0, 0] = 1.0
+            out[..., 1, 1] = 1.0 - np.broadcast_to(t, shape)
+            return out
+
+        return Scenario(
+            name="switch", grid=SpaceTimeGrid(0.0, 1.0, 2.0, 21, 41),
+            n_comp=2, h0=SymMatrixField.constant(np.eye(2), label="h0"),
+            h1=SymMatrixField(2, h1, label="diag(1,1-t)",
+                              time_independent=False),
+            eta=SpatialWeight.linear(1.0), beta=0.5)
+
+    @staticmethod
+    def oracle(sc, u):
+        """Per-node labels from classify_boundary and analytic fluxes."""
+        grid = sc.grid
+        labels = [classify_boundary(sc, tv) for tv in grid.t]
+        cols = {"x_lo": (0, grid.x_lo, -1.0), "x_hi": (-1, grid.x_hi, 1.0)}
+        out = {}
+        for side, (col, xb, nu) in cols.items():
+            ub = u.values[:, col, :]
+            flux = nu * (ub[:, 0] ** 2 + (1.0 - grid.t) * ub[:, 1] ** 2)
+            lab = np.array([lb[side] for lb in labels])
+            out[side] = (xb, ub, flux, lab)
+        return out
+
+    def test_labels_switch(self):
+        sc = self.scenario()
+        assert classify_boundary(sc, 0.0) == {"x_lo": BoundaryLabel.MINUS,
+                                              "x_hi": BoundaryLabel.PLUS}
+        assert classify_boundary(sc, 2.0) == {"x_lo": BoundaryLabel.NEITHER,
+                                              "x_hi": BoundaryLabel.NEITHER}
+
+    @pytest.mark.parametrize("s", [1.0, 4.0])
+    def test_carleman_boundary_terms(self, s):
+        sc = self.scenario()
+        grid = sc.grid
+        u = random_smooth_gridfunction(grid, 2, seed=3)
+        terms = carleman_terms(u, residual(u, sc), sc, s)
+        phi_max = grid.x_hi  # eta(x) - beta t peaks at (x_hi, 0)
+        minus, rest = 0.0, 0.0
+        for xb, ub, flux, lab in self.oracle(sc, u).values():
+            w = np.exp(2.0 * s * (xb - sc.beta * grid.t - phi_max))
+            is_minus = lab == BoundaryLabel.MINUS
+            minus += s * integrate.trapezoid(
+                np.where(is_minus, np.abs(flux) * w, 0.0), grid.t)
+            rest += s * integrate.trapezoid(
+                np.where(is_minus, 0.0, np.sum(ub ** 2, axis=1) * w), grid.t)
+        assert terms.lhs_gamma_minus == pytest.approx(minus, rel=1e-12)
+        assert terms.rhs_gamma_rest == pytest.approx(rest, rel=1e-12)
+
+    def test_energy_ledger_boundary_terms(self):
+        sc = self.scenario()
+        grid = sc.grid
+        u = random_smooth_gridfunction(grid, 2, seed=5)
+        ledger = energy_ledger(u, sc)
+        outflow, rest = np.zeros(grid.nt), np.zeros(grid.nt)
+        for _, ub, flux, lab in self.oracle(sc, u).values():
+            is_plus = lab == BoundaryLabel.PLUS
+            outflow += np.where(is_plus, flux, 0.0)
+            rest += np.where(is_plus, 0.0, np.sum(ub ** 2, axis=1))
+        energy = integrate.trapezoid(np.sum(u.values ** 2, axis=-1),
+                                     dx=grid.hx, axis=1)
+        np.testing.assert_allclose(
+            ledger.lemma_lhs,
+            energy + integrate.cumulative_trapezoid(outflow, grid.t,
+                                                    initial=0.0),
+            rtol=1e-12, atol=1e-12 * float(np.max(energy)))
+        assert ledger.rhs_core == pytest.approx(
+            energy[0] + integrate.trapezoid(rest, grid.t), rel=1e-12)
 
 
 class TestObservabilityRatio:

@@ -25,6 +25,7 @@ from symhyp import (
     VectorField,
     build_scenario,
     exact_transport,
+    max_char_speed,
     parse_config,
     residual,
     resolve_scenario,
@@ -104,6 +105,24 @@ class TestSolve:
         sc = scalar_scenario().with_grid(grid)
         with pytest.raises(CflViolationError, match="need nt >="):
             solve(sc, np.zeros((101, 1)))
+
+    def test_cfl_violation_after_start_refused(self):
+        # speed 1 + t: Courant number 1/3 at t = 0, 2/3 at t = T = 1
+        def h1(x, t):
+            return (1.0 + np.broadcast_to(t, np.broadcast_shapes(
+                np.shape(x), np.shape(t))))[..., None, None]
+
+        sc = Scenario(name="speeding", grid=SpaceTimeGrid(0.0, 1.0, 1.0, 101,
+                                                          301),
+                      n_comp=1, h0=SymMatrixField.constant([[1.0]]),
+                      h1=SymMatrixField(1, h1, time_independent=False),
+                      eta=SpatialWeight.linear(1.0), beta=0.5)
+        with pytest.raises(CflViolationError, match="need nt >= 401"):
+            solve(sc, lambda x: np.sin(np.pi * x))
+        ok = sc.with_grid(SpaceTimeGrid(0.0, 1.0, 1.0, 101, 401))
+        res = solve(ok, lambda x: np.sin(np.pi * x))
+        assert res.cfl_used == pytest.approx(0.5, rel=1e-12)
+        assert res.cfl_used == max_char_speed(ok) * ok.grid.ht / ok.grid.hx
 
     def test_singular_h0_names_node(self):
         grid = SpaceTimeGrid(0.0, 1.0, 1.0, 11, 400)
