@@ -391,16 +391,6 @@ class GridSamples:
         self.plus, self.minus = boundary_classes(self.flux)
         for arr in (self.flux, self.plus, self.minus):
             arr.flags.writeable = False
-        x, t = grid.meshgrid()
-        self._eta_x, self._beta_t = scenario.eta(x), scenario.beta * t
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """phi = eta(x) - beta t at every node, (nt, nx), built on first use:
-        only the weighted quadratures need this full-grid array."""
-        phi = self._eta_x - self._beta_t
-        phi.flags.writeable = False
-        return phi
 
 
 @dataclass(frozen=True)

@@ -93,23 +93,26 @@ def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
     hx, ht = grid.hx, grid.ht
     t = grid.t
 
-    phi = samples.phi
-    phi_max = float(phi.max())
-    weight = np.exp(2.0 * s * (phi - phi_max))
+    # phi = eta(x) - beta t with beta >= 0 peaks at t = 0, so the gauged
+    # weight exp(2 s (phi - max phi)) is the product wx(x) wt(t)
+    eta = scenario.eta(grid.x)
+    phi_max = float(eta.max())
+    wx = np.exp(2.0 * s * (eta - phi_max))
+    wt = np.exp(-2.0 * s * scenario.beta * t)
 
     lhs_initial = s * trapezoid(
-        _quad_form(samples.h0[0], u.values[0]) * weight[0], dx=hx)
+        _quad_form(samples.h0[0], u.values[0]) * wx, dx=hx)
     rhs_terminal = s * trapezoid(
-        _quad_form(samples.h0[-1], u.values[-1]) * weight[-1], dx=hx)
+        _quad_form(samples.h0[-1], u.values[-1]) * (wx * wt[-1]), dx=hx)
 
     sq = np.sum(u.values ** 2, axis=-1)
-    lhs_volume = s * s * trapezoid(trapezoid(sq * weight, dx=hx), dx=ht)
+    lhs_volume = s * s * trapezoid(trapezoid(sq * wx, dx=hx) * wt, dx=ht)
     fsq = np.sum(source.values ** 2, axis=-1)
-    rhs_source = trapezoid(trapezoid(fsq * weight, dx=hx), dx=ht)
+    rhs_source = trapezoid(trapezoid(fsq * wx, dx=hx) * wt, dx=ht)
 
     # x_lo and x_hi columns, SIDES first like the samples: (2, nt, ...)
     ub = np.stack([u.values[:, 0], u.values[:, -1]])
-    wb = np.stack([weight[:, 0], weight[:, -1]])
+    wb = wx[[0, -1], None] * wt
     flux = np.abs(_quad_form(samples.flux, ub))
     rest = np.sum(ub ** 2, axis=-1) * wb
     lhs_gamma_minus = np.sum(
@@ -251,7 +254,9 @@ def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
     check_same_grid(u, scenario)
     samples = scenario.samples
     grid = scenario.grid
-    shift = samples.phi - samples.phi.max()
+    x, t = grid.meshgrid()
+    phi = scenario.eta(x) - scenario.beta * t
+    shift = phi - phi.max()
     egrow = np.exp(s * shift)[..., None]
     edecay = np.exp(-s * shift)[..., None]
     w = egrow * u.values

@@ -19,7 +19,6 @@ provides the constant-speed scalar analytic solution used as an oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import CflViolationError, GridMismatchError, SingularCoefficientError
 from .fields import (
-    NORMALS,
     SIDES,
     GridFunction,
     Scenario,
@@ -48,8 +46,8 @@ class SolveResult:
     """Discrete solution with its boundary traces.
 
     traces has shape (2, nt, n) in SIDES order and equals the boundary
-    columns of u exactly; cfl_used is the largest Courant number over the
-    coefficient rows actually run, bounded by cfl_limit.
+    columns of u exactly; cfl_used is the largest Courant number over all
+    grid nodes, bounded by cfl_limit.
     """
 
     u: GridFunction
@@ -78,35 +76,33 @@ def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
     return np.abs(w).max(axis=-1)
 
 
-def _checked_speeds(h0m: np.ndarray, h1m: np.ndarray, x, t) -> np.ndarray:
-    """Largest characteristic speed per node of sampled rows.
+def _node_speeds(scenario: Scenario) -> np.ndarray:
+    """Largest characteristic speed at every sampled node, (rows, nx).
 
-    x and t broadcast to the node axes of the samples.  Refuses, naming the
-    node and the eigenvalue, when h0 is not positive definite somewhere.
+    rows is 1 when h0 and h1 are both sampled on one time row, nt otherwise.
+    Refuses, naming the node and the eigenvalue, when h0 is not positive
+    definite somewhere.
     """
-    lmin, _ = eig_bounds(h0m)
+    grid = scenario.grid
+    samples = scenario.samples
+    lmin, _ = eig_bounds(samples.h0)
     if lmin.min() <= 0.0:
-        k = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
-        xs, ts = np.broadcast_arrays(x, t)
+        n, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
         raise SingularCoefficientError(
-            f"h0 is not positive definite at x={float(xs[k])}, "
-            f"t={float(ts[k])} (lambda_min={lmin.min()!r})")
-    return _char_speeds(h0m, h1m)
+            f"h0 is not positive definite at x={float(grid.x[i])}, "
+            f"t={float(grid.t[n])} (lambda_min={lmin.min()!r})")
+    h0, h1 = np.broadcast_arrays(samples.h0, samples.h1)
+    speeds = np.empty(h0.shape[:2])
+    # whitening a block of rows at a time bounds its temporaries
+    block = 256
+    for k in range(0, len(speeds), block):
+        speeds[k:k + block] = _char_speeds(h0[k:k + block], h1[k:k + block])
+    return speeds
 
 
 def max_char_speed(scenario: Scenario) -> float:
     """Fastest characteristic speed over all grid nodes."""
-    grid = scenario.grid
-    x = grid.x[None, :]
-    static = scenario.h0.time_independent and scenario.h1.time_independent
-    rows = grid.t[:1] if static else grid.t
-    alpha = 0.0
-    block = 256
-    for start in range(0, len(rows), block):
-        tb = rows[start:start + block, None]
-        speeds = _checked_speeds(scenario.h0(x, tb), scenario.h1(x, tb), x, tb)
-        alpha = max(alpha, float(speeds.max()))
-    return alpha
+    return float(_node_speeds(scenario).max())
 
 
 def admissible_time_nodes(scenario: Scenario,
@@ -141,56 +137,24 @@ def auto_time_nodes(scenario: Scenario,
 
 
 def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
-    """Characteristic closure at one boundary node as (P_out, P_in).
+    """Characteristic closure at boundary nodes as (P_out, P_in).
 
-    With the generalized eigenbasis V of (flux, h0b), V.T @ h0b @ V = I,
-    taken as V = L^-T W from the eigenvectors W of the whitened pencil, the
-    closed boundary state is u_b = P_out @ extrap + P_in @ g: outgoing and
-    non-propagating characteristics keep the extrapolated state, incoming
-    ones take the inflow data g.  P_in is None when nothing enters.
+    flux and h0b are stacks of (n, n) matrices over matching leading axes;
+    the projectors have the same shape.  With the generalized eigenbasis V
+    of (flux, h0b), V.T @ h0b @ V = I, taken as V = L^-T W from the
+    eigenvectors W of the whitened pencil, the closed boundary state is
+    u_b = P_out @ extrap + P_in @ g: outgoing and non-propagating
+    characteristics keep the extrapolated state, incoming ones take the
+    inflow data g.  P_in is zero where nothing enters.
     """
     chol, sym = _whiten(h0b, flux)
     lam, w = np.linalg.eigh(sym)
-    vecs = np.linalg.solve(chol.T, w)
-    incoming = lam < -SPEED_TOL
-    v_out, v_in = vecs[:, ~incoming], vecs[:, incoming]
-    p_out = v_out @ (v_out.T @ h0b)
-    p_in = v_in @ (v_in.T @ h0b) if incoming.any() else None
-    return p_out, p_in
-
-
-class _Row:
-    """Everything one marcher step needs from the coefficients at time trow.
-
-    h1, inv(h0) and p on the row; the row's Courant number cfl; the Rusanov
-    interface speeds a_r, a_l of the interior nodes; and per side the
-    closure projectors (P_out, P_in).  Refuses a row where h0 is not
-    positive definite or whose fastest speed breaks the Courant bound.
-    """
-
-    def __init__(self, scenario: Scenario, trow: float, cfl_factor: float):
-        grid = scenario.grid
-        x = grid.x
-        tval = np.asarray(trow)
-        h0 = scenario.h0(x, tval)
-        self.h1 = scenario.h1(x, tval)
-        speeds = _checked_speeds(h0, self.h1, x, tval)
-        fast = int(np.argmax(speeds))
-        alpha = float(speeds[fast])
-        self.cfl = alpha * grid.ht / grid.hx
-        if self.cfl > cfl_factor * (1 + 1e-12):
-            raise CflViolationError(
-                f"time step ht={grid.ht!r} violates the Courant bound "
-                f"{cfl_factor!r}*hx/alpha with alpha={alpha!r} at "
-                f"x={float(x[fast])!r}, t={float(trow)!r}; "
-                f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
-        self.inv_h0 = np.linalg.inv(h0)
-        self.p = scenario.p(x, tval) if scenario.p is not None else None
-        self.a_r = np.maximum(speeds[1:-1], speeds[2:])[:, None]
-        self.a_l = np.maximum(speeds[:-2], speeds[1:-1])[:, None]
-        self.closure = {
-            side: _closure_projectors(NORMALS[side] * self.h1[ib], h0[ib])
-            for side, ib in zip(SIDES, (0, -1))}
+    vecs = np.linalg.solve(np.swapaxes(chol, -1, -2), w)
+    incoming = (lam < -SPEED_TOL)[..., None, :]
+    v_out = np.where(incoming, 0.0, vecs)
+    v_in = np.where(incoming, vecs, 0.0)
+    return (v_out @ (np.swapaxes(v_out, -1, -2) @ h0b),
+            v_in @ (np.swapaxes(v_in, -1, -2) @ h0b))
 
 
 def _normalize_initial(initial, grid: SpaceTimeGrid, n_comp: int) -> np.ndarray:
@@ -205,13 +169,16 @@ def _normalize_initial(initial, grid: SpaceTimeGrid, n_comp: int) -> np.ndarray:
     return arr
 
 
-def _inflow_value(inflow, side: str, tval: float, n_comp: int) -> np.ndarray:
-    if inflow is None:
-        return np.zeros(n_comp)
-    fn = inflow.get(side)
-    if fn is None:
-        return np.zeros(n_comp)
-    return np.broadcast_to(np.asarray(fn(tval), dtype=float), (n_comp,))
+def _inflow_data(inflow, t: np.ndarray, n_comp: int) -> np.ndarray:
+    """Prescribed boundary states at every time node, (2, nt, n) in SIDES
+    order; zero on a side without an inflow function."""
+    g = np.zeros((2, len(t), n_comp))
+    for k, side in enumerate(SIDES):
+        fn = None if inflow is None else inflow.get(side)
+        if fn is not None:
+            g[k] = [np.broadcast_to(np.asarray(fn(float(tv)), dtype=float),
+                                    (n_comp,)) for tv in t]
+    return g
 
 
 def solve(scenario: Scenario, initial, inflow: dict | None = None,
@@ -221,57 +188,77 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     initial: array (nx, n) (or (nx,) for scalar systems) or callable of x.
     inflow: optional dict {"x_lo": fn, "x_hi": fn} of time functions giving
     the full state vector whose incoming characteristic part is imposed;
-    missing sides default to zero data.
+    each is evaluated at every time node before the march, and missing
+    sides default to zero data.
 
-    Refuses to run when the grid time step violates the Courant bound, and
-    when h0 fails to be positive definite at any sampled node; both are
-    checked on each coefficient row as it is built, so a time-dependent
-    violation can surface partway through the march.
+    The coefficients are the scenario's validated samples.  Before the
+    first step it refuses a grid where h0 fails to be positive definite at
+    any node, then one whose time step violates the Courant bound at the
+    fastest node of any time row.
     """
     grid = scenario.grid
     n = scenario.n_comp
     nx, nt = grid.nx, grid.nt
     hx, ht = grid.hx, grid.ht
+    samples = scenario.samples
 
-    # the one place that decides which coefficient row each step sees
-    static = (scenario.h0.time_independent and scenario.h1.time_independent
-              and (scenario.p is None or scenario.p.time_independent))
-    if static:
-        rows = itertools.repeat(_Row(scenario, 0.0, cfl_factor), nt)
-    else:
-        rows = (_Row(scenario, tv, cfl_factor) for tv in grid.t)
+    speeds = _node_speeds(scenario)
+    fast = np.unravel_index(int(np.argmax(speeds)), speeds.shape)
+    alpha = float(speeds[fast])
+    cfl_used = alpha * ht / hx
+    if cfl_used > cfl_factor * (1 + 1e-12):
+        raise CflViolationError(
+            f"time step ht={ht!r} violates the Courant bound "
+            f"{cfl_factor!r}*hx/alpha with alpha={alpha!r} at "
+            f"x={float(grid.x[fast[1]])!r}, t={float(grid.t[fast[0]])!r}; "
+            f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
+
+    def steps(arr):
+        # one entry per time node; a time-independent sample holds one row
+        return np.broadcast_to(arr, (nt,) + arr.shape[1:])
+
+    rows = len(speeds)  # 1 unless h0 or h1 depends on t
+    # Rusanov speed at every interface; a_r and a_l view its two sides
+    iface = steps(np.maximum(speeds[:, :-1], speeds[:, 1:])[..., None])
+    a_r, a_l = iface[:, 1:], iface[:, :-1]
+    del speeds  # the march needs only the interface speeds
+    h1 = steps(samples.h1)[:, 1:-1]
+    inv_h0 = steps(np.linalg.inv(samples.h0))[:, 1:-1]
+    p = None if samples.p is None else steps(samples.p)[:, 1:-1]
+    # the boundary flux has one distinct row when h0 and h1 have one
+    flux = samples.flux[:, :rows]
+    h0b = np.broadcast_to(np.stack([samples.h0[:, 0], samples.h0[:, -1]]),
+                          flux.shape)
+    p_out, p_in = (np.broadcast_to(pr, (2, nt, n, n))
+                   for pr in _closure_projectors(flux, h0b))
+    # incoming part of the inflow data, (2, nt, n)
+    entering = (p_in @ _inflow_data(inflow, grid.t, n)[..., None])[..., 0]
 
     u = np.empty((nt, nx, n))
     u[0] = _normalize_initial(initial, grid, n)
     tgrid = grid.t
     lam_c = ht / (2.0 * hx)
-    cfl_used = 0.0
 
-    for step, (row, nxt) in enumerate(itertools.pairwise(rows)):
-        cfl_used = max(cfl_used, row.cfl, nxt.cfl)
+    for step in range(nt - 1):
         tn = float(tgrid[step])
-        tn1 = float(tgrid[step + 1])
         un = u[step]
 
         # interior: central transport + Rusanov dissipation + lower order
-        rhs = np.einsum("iab,ib->ia", row.h1[1:-1], un[2:] - un[:-2]) / (2 * hx)
-        if row.p is not None:
-            rhs = rhs + np.einsum("iab,ib->ia", row.p[1:-1], un[1:-1])
+        rhs = np.einsum("iab,ib->ia", h1[step], un[2:] - un[:-2]) / (2 * hx)
+        if p is not None:
+            rhs = rhs + np.einsum("iab,ib->ia", p[step], un[1:-1])
         if scenario.source is not None:
             rhs = rhs - scenario.source(grid.x, np.asarray(tn))[1:-1]
-        upd = un[1:-1] - ht * np.einsum("iab,ib->ia", row.inv_h0[1:-1], rhs)
-        upd = upd + lam_c * (row.a_r * (un[2:] - un[1:-1])
-                             - row.a_l * (un[1:-1] - un[:-2]))
+        upd = un[1:-1] - ht * np.einsum("iab,ib->ia", inv_h0[step], rhs)
+        upd = upd + lam_c * (a_r[step] * (un[2:] - un[1:-1])
+                             - a_l[step] * (un[1:-1] - un[:-2]))
         u[step + 1, 1:-1] = upd
 
         # characteristic closure at both boundary nodes, at the new time
         un1 = u[step + 1]
-        for side, (ib, i1, i2) in zip(SIDES, ((0, 1, 2), (-1, -2, -3))):
-            p_out, p_in = nxt.closure[side]
-            ub = p_out @ (2.0 * un1[i1] - un1[i2])
-            if p_in is not None:
-                ub = ub + p_in @ _inflow_value(inflow, side, tn1, n)
-            un1[ib] = ub
+        for k, (ib, i1, i2) in enumerate(((0, 1, 2), (-1, -2, -3))):
+            un1[ib] = (p_out[k, step + 1] @ (2.0 * un1[i1] - un1[i2])
+                       + entering[k, step + 1])
 
     traces = np.stack([u[:, 0, :], u[:, -1, :]])
     return SolveResult(u=GridFunction(grid, u), traces=traces,

@@ -14,7 +14,9 @@ from scipy.integrate import trapezoid
 import symhyp
 
 from symhyp import (
+    AsymmetricFieldError,
     CflViolationError,
+    FieldEvaluationError,
     GridFunction,
     MatrixField,
     SingularCoefficientError,
@@ -23,6 +25,7 @@ from symhyp import (
     Scenario,
     SymMatrixField,
     VectorField,
+    admissible_time_nodes,
     build_scenario,
     exact_transport,
     max_char_speed,
@@ -124,6 +127,34 @@ class TestSolve:
         assert res.cfl_used == pytest.approx(0.5, rel=1e-12)
         assert res.cfl_used == max_char_speed(ok) * ok.grid.ht / ok.grid.hx
 
+    @pytest.mark.parametrize("defect, error, match", [
+        ("asymmetric", AsymmetricFieldError, "field h1 symmetry defect"),
+        ("nan", FieldEvaluationError, r"field h1 non-finite .* x=.*, t=")],
+        ids=["asymmetric", "nan"])
+    def test_coefficient_defect_after_start_refused(self, defect, error,
+                                                    match):
+        # h1 is valid at t = 0 only; the marcher and its Courant bound must
+        # refuse it as the hypothesis checks do
+        def h1(x, t):
+            t = np.broadcast_to(t, np.broadcast_shapes(x.shape, t.shape))
+            out = np.empty(t.shape + (2, 2))
+            out[..., 0, 0] = out[..., 1, 1] = 2.0
+            out[..., 1, 0] = 1.0
+            out[..., 0, 1] = 1.0 + 0.1 * t if defect == "asymmetric" else 1.0
+            if defect == "nan":
+                out[t > 0.5] = np.nan
+            return out
+
+        sc = Scenario(name=defect, grid=SpaceTimeGrid(0.0, 1.0, 1.0, 21, 201),
+                      n_comp=2, h0=SymMatrixField.constant(np.eye(2)),
+                      h1=SymMatrixField(2, h1, label="h1",
+                                        time_independent=False),
+                      eta=SpatialWeight.linear(1.0), beta=0.5)
+        with pytest.raises(error, match=match):
+            solve(sc, np.zeros((21, 2)))
+        with pytest.raises(error, match=match):
+            admissible_time_nodes(sc)
+
     def test_singular_h0_names_node(self):
         grid = SpaceTimeGrid(0.0, 1.0, 1.0, 11, 400)
         h0 = SymMatrixField.affine([[0.0]], [[1.0]])  # vanishes at x = 0
@@ -196,13 +227,12 @@ class TestClosureProjectors:
         lam, vecs = scipy.linalg.eigh(flux, h0b)
         incoming = lam < -SPEED_TOL
         v_out, v_in = vecs[:, ~incoming], vecs[:, incoming]
-        p_in = v_in @ (v_in.T @ h0b) if incoming.any() else None
-        return v_out @ (v_out.T @ h0b), p_in
+        return v_out @ (v_out.T @ h0b), v_in @ (v_in.T @ h0b)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("zero_speed", [False, True])
-    def test_match_generalized_eigh(self, n, zero_speed):
-        rng = np.random.default_rng(10 * n + zero_speed)
+    @staticmethod
+    def pencil(n, seed, zero_speed):
+        """Seeded SPD h0b and symmetric flux with speeds of both signs."""
+        rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n))
         h0b = a @ a.T + 0.5 * np.eye(n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -210,17 +240,32 @@ class TestClosureProjectors:
         if zero_speed:
             speeds[0] = 0.0
         flux = q @ np.diag(speeds) @ q.T
-        flux = 0.5 * (flux + flux.T)
+        return 0.5 * (flux + flux.T), h0b
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("zero_speed", [False, True])
+    def test_match_generalized_eigh(self, n, zero_speed):
+        flux, h0b = self.pencil(n, 10 * n + zero_speed, zero_speed)
         p_out, p_in = _closure_projectors(flux, h0b)
         ref_out, ref_in = self.reference(flux, h0b)
         np.testing.assert_allclose(p_out, ref_out, rtol=0, atol=1e-12)
-        assert (p_in is None) == (ref_in is None)
-        total = p_out
-        if p_in is not None:
-            np.testing.assert_allclose(p_in, ref_in, rtol=0, atol=1e-12)
-            total = p_out + p_in
-        np.testing.assert_allclose(total, np.eye(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_in, ref_in, rtol=0, atol=1e-12)
+        if np.all(scipy.linalg.eigh(flux, h0b, eigvals_only=True)
+                  >= -SPEED_TOL):
+            assert np.all(p_in == 0.0)  # nothing enters
+        np.testing.assert_allclose(p_out + p_in, np.eye(n), rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_rows_match_single_rows(self, n):
+        cases = [self.pencil(n, seed, seed % 2 == 1) for seed in range(5)]
+        flux = np.stack([c[0] for c in cases])
+        h0b = np.stack([c[1] for c in cases])
+        p_out, p_in = _closure_projectors(flux, h0b)
+        for k, (fk, hk) in enumerate(cases):
+            row_out, row_in = _closure_projectors(fk, hk)
+            assert np.array_equal(p_out[k], row_out)
+            assert np.array_equal(p_in[k], row_in)
 
 
 class TestAutoTimeNodes:
