@@ -11,10 +11,11 @@ the test suite, and as templates for inline configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .fields import Scenario, SpaceTimeGrid, SpatialWeight, SymMatrixField
+from .fields import (MatrixField, Scenario, SpaceTimeGrid, SpatialWeight,
+                     SymMatrixField)
 from .hypotheses import check_hypotheses
 from .solver import CFL_DEFAULT, auto_time_nodes
 
@@ -28,6 +29,7 @@ class CatalogEntry:
     h1: SymMatrixField
     default_beta: float
     default_t_final: float
+    p: MatrixField | None = None
 
 
 def catalog() -> dict[str, CatalogEntry]:
@@ -89,18 +91,21 @@ def build_scenario(name: str, nx: int = 201, nt: int | None = None,
     if name not in entries:
         raise ConfigError([f"unknown scenario {name!r}; "
                            f"known: {', '.join(sorted(entries))}"])
-    entry = entries[name]
+    return _instantiate(entries[name], nx, nt, t_final, beta, eta, domain,
+                        cfl_factor)
+
+
+def _instantiate(entry: CatalogEntry, nx, nt, t_final, beta, eta, domain,
+                 cfl_factor) -> Scenario:
+    """build_scenario on an entry that need not be in the catalog."""
     t_fin = entry.default_t_final if t_final is None else float(t_final)
     b = entry.default_beta if beta is None else float(beta)
-    weight = SpatialWeight.linear(*eta)
-
-    probe_grid = SpaceTimeGrid(domain[0], domain[1], t_fin, nx, 2)
-    probe = Scenario(name=entry.name, grid=probe_grid, n_comp=entry.n_comp,
-                     h0=entry.h0, h1=entry.h1, eta=weight, beta=b)
-    if nt is None:
-        nt = auto_time_nodes(probe, cfl_factor)
-    return replace(probe, grid=SpaceTimeGrid(domain[0], domain[1], t_fin,
-                                             nx, nt))
+    grid = SpaceTimeGrid(domain[0], domain[1], t_fin, nx,
+                         2 if nt is None else nt)
+    scenario = Scenario(name=entry.name, grid=grid, n_comp=entry.n_comp,
+                        h0=entry.h0, h1=entry.h1,
+                        eta=SpatialWeight.linear(*eta), beta=b, p=entry.p)
+    return auto_time_nodes(scenario, cfl_factor) if nt is None else scenario
 
 
 def scenario_status(name: str, nx: int = 51) -> str:

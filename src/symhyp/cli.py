@@ -330,9 +330,9 @@ def main(argv=None) -> int:
             s_grid = tuple(float(v) for v in args.s.split(",") if v.strip())
         except ValueError:
             s_grid = ()
-        if not s_grid or any(v <= 0 for v in s_grid):
+        if not s_grid or not all(math.isfinite(v) and v > 0 for v in s_grid):
             print("config error: --s must be comma-separated positive "
-                  "numbers", file=sys.stderr)
+                  "finite numbers", file=sys.stderr)
             return 2
         cfg = replace(cfg, s_grid=s_grid)
     return run(cfg)

@@ -12,23 +12,17 @@ code, not in configs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
 import yaml
 
-from .catalog import build_scenario, catalog
+from .catalog import CatalogEntry, _instantiate, build_scenario, catalog
 from .errors import AsymmetricFieldError, BetaSelectionError, ConfigError
-from .fields import (
-    MatrixField,
-    Scenario,
-    SpaceTimeGrid,
-    SpatialWeight,
-    SymMatrixField,
-)
+from .fields import MatrixField, Scenario, SymMatrixField
 from .hypotheses import check_eta_coercivity, check_h0_bounds, select_beta
-from .solver import auto_time_nodes
 
 EXPERIMENTS = ("hypotheses", "solve", "carleman-scan", "observability",
                "energy", "identities")
@@ -69,7 +63,10 @@ class RunConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float: bools, nan, inf and ints past the float range
+    are refused."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _matrix_literal(spec, tag: str, errors: list[str]):
@@ -402,28 +399,23 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
     else:
         errors: list[str] = []
         spec = cfg.scenario
-        n = spec["n"]
         h0 = _field_spec(spec["h0"], "scenario.h0", True, errors)
         h1 = _field_spec(spec["h1"], "scenario.h1", True, errors)
         p = _field_spec(spec["p"], "scenario.p", False, errors) \
             if "p" in spec else None
         if errors or h0 is None or h1 is None:
             raise ConfigError(errors or ["scenario fields failed to build"])
-        t_fin = cfg.t_final
-        if t_fin is None:
+        if cfg.t_final is None:
             raise ConfigError(["T is required for inline scenarios"])
         beta0 = 1.0 if auto_beta else cfg.beta
         if beta0 is None:
             raise ConfigError(["weight.beta is required for inline scenarios"])
-        probe_grid = SpaceTimeGrid(cfg.domain[0], cfg.domain[1], t_fin,
-                                   cfg.nx, 2)
-        scenario = Scenario(name=spec["name"], grid=probe_grid, n_comp=n,
-                            h0=h0, h1=h1, eta=SpatialWeight.linear(*cfg.eta),
-                            beta=float(beta0), p=p)
-        nt = cfg.nt if cfg.nt is not None else \
-            auto_time_nodes(scenario, cfg.cfl_factor)
-        scenario = scenario.with_grid(
-            SpaceTimeGrid(cfg.domain[0], cfg.domain[1], t_fin, cfg.nx, nt))
+        entry = CatalogEntry(
+            name=spec["name"], description="inline scenario", n_comp=spec["n"],
+            h0=h0, h1=h1, default_beta=float(beta0),
+            default_t_final=cfg.t_final, p=p)
+        scenario = _instantiate(entry, cfg.nx, cfg.nt, None, None, cfg.eta,
+                                cfg.domain, cfg.cfl_factor)
         info["beta_source"] = "auto" if auto_beta else "config"
 
     if auto_beta:

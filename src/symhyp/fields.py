@@ -4,6 +4,8 @@ Everything downstream (hypothesis checks, the time stepper, the weighted
 functionals) consumes the types defined here.  Fields are closures evaluated
 on uniform tensor-product space-time grids; matrix fields carry the system
 size and an optional symmetry contract that is enforced at sampling time.
+Each scenario samples its coefficients once per grid (`Scenario.samples`);
+that sample set also owns the node speeds the time stepper reads.
 
 Only one spatial dimension is implemented, but every type carries enough
 structure (normals, node indexing, component counts) that a rectangle
@@ -23,6 +25,7 @@ from .errors import (
     FieldEvaluationError,
     GridError,
     GridMismatchError,
+    SingularCoefficientError,
 )
 
 #: absolute tolerance on max_ij |M_ij - M_ji| for fields declared symmetric
@@ -327,6 +330,25 @@ def eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0], w[..., -1]
 
 
+def _whiten(h0m: np.ndarray, h1m: np.ndarray):
+    """Cholesky whitening of the pencil (h1, h0) per node: (L, L^-1 h1 L^-T).
+
+    h0 = L L^T, so the symmetric matrix returned has the generalized
+    eigenvalues of (h1, h0).  h0 must already be checked positive definite.
+    """
+    chol = np.linalg.cholesky(h0m)
+    y = np.linalg.solve(chol, h1m)
+    return chol, np.linalg.solve(chol, np.swapaxes(y, -1, -2))
+
+
+def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
+    """Largest |generalized eigenvalue| of (h1, h0) per node."""
+    if h0m.shape[-1] == 1:
+        return np.abs(h1m[..., 0, 0] / h0m[..., 0, 0])
+    w = np.linalg.eigvalsh(_whiten(h0m, h1m)[1])
+    return np.abs(w).max(axis=-1)
+
+
 def boundary_classes(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(PLUS, MINUS) masks of normal flux matrices nu * h1: positive definite
     and negative semidefinite to STRICT_TOL; the rest is NEITHER."""
@@ -373,12 +395,13 @@ class GridSamples:
     h0, h1 and p are (nt, nx, n, n), or (1, nx, n, n) to be broadcast over t
     for a time-independent field; p is None when the scenario has none.
     flux is nu * h1 at x_lo and x_hi for every time node, (2, nt, n, n) in
-    SIDES order, and plus / minus are its boundary classes, (2, nt).  Every
-    caller shares these arrays, so they are read-only.
+    SIDES order, and plus / minus are its boundary classes, (2, nt).  speeds
+    holds the node speeds of the marcher, built on first use.  Every caller
+    shares these arrays, so they are read-only.
     """
 
     def __init__(self, scenario: Scenario):
-        grid = scenario.grid
+        grid = self.grid = scenario.grid
 
         def rows(fld):
             vals = sample_field(fld, grid)
@@ -391,6 +414,30 @@ class GridSamples:
         self.plus, self.minus = boundary_classes(self.flux)
         for arr in (self.flux, self.plus, self.minus):
             arr.flags.writeable = False
+
+    @cached_property
+    def speeds(self) -> np.ndarray:
+        """Largest characteristic speed at every sampled node, (rows, nx).
+
+        rows is 1 when h0 and h1 are both sampled on one time row, nt
+        otherwise.  Refuses, naming the node and the eigenvalue, when h0 is
+        not positive definite somewhere; a refusal is not cached.
+        """
+        lmin, _ = eig_bounds(self.h0)
+        if lmin.min() <= 0.0:
+            n, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
+            raise SingularCoefficientError(
+                f"h0 is not positive definite at x={float(self.grid.x[i])}, "
+                f"t={float(self.grid.t[n])} (lambda_min={lmin.min()!r})")
+        h0, h1 = np.broadcast_arrays(self.h0, self.h1)
+        speeds = np.empty(h0.shape[:2])
+        # whitening a block of rows at a time bounds its temporaries
+        block = 256
+        for k in range(0, len(speeds), block):
+            speeds[k:k + block] = _char_speeds(h0[k:k + block],
+                                               h1[k:k + block])
+        speeds.flags.writeable = False
+        return speeds
 
 
 @dataclass(frozen=True)

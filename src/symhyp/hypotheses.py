@@ -165,7 +165,7 @@ class BetaSelection:
 
 
 def select_beta(delta0: float, M: float, eta: SpatialWeight,
-                grid: SpaceTimeGrid, t_final: float | None = None) -> BetaSelection:
+                grid: SpaceTimeGrid) -> BetaSelection:
     """Pick beta in the open window (osc(eta)/T, delta0/M).
 
     The midpoint is used: it balances delta = delta0 - beta*M (coercivity
@@ -173,8 +173,7 @@ def select_beta(delta0: float, M: float, eta: SpatialWeight,
     t = T), both of which must stay positive.  Raises BetaSelectionError when
     the window is empty, i.e. T does not exceed the critical time.
     """
-    if t_final is None:
-        t_final = grid.t_final
+    t_final = grid.t_final
     if not delta0 > 0:
         raise BetaSelectionError(f"delta0 must be positive (got {delta0})")
     osc = eta_oscillation(eta, grid)

@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolationError, GridMismatchError, SingularCoefficientError
+from .errors import CflViolationError, GridMismatchError
 from .fields import (
     SIDES,
     GridFunction,
     Scenario,
     SpaceTimeGrid,
+    _whiten,
     central_derivative,
     check_same_grid,
-    eig_bounds,
 )
 
 CFL_DEFAULT = 0.5
@@ -57,52 +57,9 @@ class SolveResult:
     scheme: str = "rusanov-characteristic"
 
 
-def _whiten(h0m: np.ndarray, h1m: np.ndarray):
-    """Cholesky whitening of the pencil (h1, h0) per node: (L, L^-1 h1 L^-T).
-
-    h0 = L L^T, so the symmetric matrix returned has the generalized
-    eigenvalues of (h1, h0).  h0 must already be checked positive definite.
-    """
-    chol = np.linalg.cholesky(h0m)
-    y = np.linalg.solve(chol, h1m)
-    return chol, np.linalg.solve(chol, np.swapaxes(y, -1, -2))
-
-
-def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
-    """Largest |generalized eigenvalue| of (h1, h0) per node."""
-    if h0m.shape[-1] == 1:
-        return np.abs(h1m[..., 0, 0] / h0m[..., 0, 0])
-    w = np.linalg.eigvalsh(_whiten(h0m, h1m)[1])
-    return np.abs(w).max(axis=-1)
-
-
-def _node_speeds(scenario: Scenario) -> np.ndarray:
-    """Largest characteristic speed at every sampled node, (rows, nx).
-
-    rows is 1 when h0 and h1 are both sampled on one time row, nt otherwise.
-    Refuses, naming the node and the eigenvalue, when h0 is not positive
-    definite somewhere.
-    """
-    grid = scenario.grid
-    samples = scenario.samples
-    lmin, _ = eig_bounds(samples.h0)
-    if lmin.min() <= 0.0:
-        n, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
-        raise SingularCoefficientError(
-            f"h0 is not positive definite at x={float(grid.x[i])}, "
-            f"t={float(grid.t[n])} (lambda_min={lmin.min()!r})")
-    h0, h1 = np.broadcast_arrays(samples.h0, samples.h1)
-    speeds = np.empty(h0.shape[:2])
-    # whitening a block of rows at a time bounds its temporaries
-    block = 256
-    for k in range(0, len(speeds), block):
-        speeds[k:k + block] = _char_speeds(h0[k:k + block], h1[k:k + block])
-    return speeds
-
-
 def max_char_speed(scenario: Scenario) -> float:
     """Fastest characteristic speed over all grid nodes."""
-    return float(_node_speeds(scenario).max())
+    return float(scenario.samples.speeds.max())
 
 
 def admissible_time_nodes(scenario: Scenario,
@@ -117,23 +74,22 @@ def admissible_time_nodes(scenario: Scenario,
 
 
 def auto_time_nodes(scenario: Scenario,
-                    cfl_factor: float = CFL_DEFAULT) -> int:
-    """nt that the marcher accepts on the scenario's x grid and horizon.
+                    cfl_factor: float = CFL_DEFAULT) -> Scenario:
+    """The scenario on the first grid, from its own nt upward, whose time
+    step the marcher accepts, with its samples and node speeds filled.
 
     The Courant bound of a grid depends on the speeds at its own time nodes,
-    so admissible_time_nodes is recomputed on each candidate grid, starting
-    from nt=2 (t=0 and t=T only), until nt stops growing.  Static
-    coefficients settle after one step.
+    so admissible_time_nodes is recomputed on each candidate grid until nt
+    stops growing; from nt=2 (t=0 and t=T only), static coefficients settle
+    after one step.
     """
     grid = scenario.grid
-    nt = 2
     while True:
-        candidate = scenario.with_grid(SpaceTimeGrid(
-            grid.x_lo, grid.x_hi, grid.t_final, grid.nx, nt))
-        need = admissible_time_nodes(candidate, cfl_factor)
-        if need <= nt:
-            return nt
-        nt = need
+        need = admissible_time_nodes(scenario, cfl_factor)
+        if need <= scenario.grid.nt:
+            return scenario
+        scenario = scenario.with_grid(SpaceTimeGrid(
+            grid.x_lo, grid.x_hi, grid.t_final, grid.nx, need))
 
 
 def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
@@ -191,10 +147,11 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     each is evaluated at every time node before the march, and missing
     sides default to zero data.
 
-    The coefficients are the scenario's validated samples.  Before the
-    first step it refuses a grid where h0 fails to be positive definite at
-    any node, then one whose time step violates the Courant bound at the
-    fastest node of any time row.
+    The coefficients and the node speeds are the scenario's sample set,
+    shared by every call on the same scenario.  Before the first step it
+    refuses a grid where h0 fails to be positive definite at any node, then
+    one whose time step violates the Courant bound at the fastest node of
+    any time row.
     """
     grid = scenario.grid
     n = scenario.n_comp
@@ -202,7 +159,7 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     hx, ht = grid.hx, grid.ht
     samples = scenario.samples
 
-    speeds = _node_speeds(scenario)
+    speeds = samples.speeds
     fast = np.unravel_index(int(np.argmax(speeds)), speeds.shape)
     alpha = float(speeds[fast])
     cfl_used = alpha * ht / hx
@@ -221,7 +178,6 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     # Rusanov speed at every interface; a_r and a_l view its two sides
     iface = steps(np.maximum(speeds[:, :-1], speeds[:, 1:])[..., None])
     a_r, a_l = iface[:, 1:], iface[:, :-1]
-    del speeds  # the march needs only the interface speeds
     h1 = steps(samples.h1)[:, 1:-1]
     inv_h0 = steps(np.linalg.inv(samples.h0))[:, 1:-1]
     p = None if samples.p is None else steps(samples.p)[:, 1:-1]

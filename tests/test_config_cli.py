@@ -38,6 +38,16 @@ grid: {nx: 31}
 weight: {beta: 0.5}
 """
 
+# a YAML line per number-valued config key, with one slot for the value
+NON_FINITE_SLOTS = {
+    "T": "T: {}\n",
+    "domain": "domain: [0.0, {}]\n",
+    "weight.beta": "weight: {{beta: {}}}\n",
+    "s_grid": "s_grid: [{}]\n",
+    "ensemble.decay": "ensemble: {{decay: {}}}\n",
+    "initial.amplitude": "initial: {{amplitude: {}}}\n",
+}
+
 
 class TestParseConfig:
     def test_minimal_defaults_filled(self):
@@ -95,6 +105,13 @@ class TestParseConfig:
         msgs = " ".join(err.value.messages)
         assert "T is required" in msgs
         assert "weight.beta is required" in msgs
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("key", list(NON_FINITE_SLOTS))
+    def test_non_finite_number_refused(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + NON_FINITE_SLOTS[key].format(value))
+        assert any(m.startswith(key) for m in err.value.messages)
 
     @pytest.mark.parametrize("text", [MINIMAL, RICH, INLINE])
     def test_round_trip(self, text):
@@ -256,7 +273,8 @@ class TestCliRuns:
 
     def test_bad_s_flag_exits_2(self, tmp_path):
         cfg = _cfg_file(tmp_path, MINIMAL)
-        assert main(["carleman", "--config", cfg, "--s", "1,-2"]) == 2
+        for s_flag in ("1,-2", "nan,1", "inf"):
+            assert main(["carleman", "--config", cfg, "--s", s_flag]) == 2
 
     def test_scenarios_verb(self, capsys):
         assert main(["scenarios"]) == 0

@@ -34,6 +34,7 @@ from symhyp import (
     resolve_scenario,
     solve,
 )
+from symhyp import fields
 from symhyp.catalog import CatalogEntry
 from symhyp.solver import SPEED_TOL, _closure_projectors
 
@@ -161,8 +162,37 @@ class TestSolve:
         sc = Scenario(name="singular", grid=grid, n_comp=1, h0=h0,
                       h1=SymMatrixField.constant([[1.0]]),
                       eta=SpatialWeight.linear(1.0), beta=0.5)
-        with pytest.raises(SingularCoefficientError, match="x=0.0"):
-            solve(sc, np.zeros((11, 1)))
+        # a refused sample set is not cached: every call refuses again
+        for _ in range(2):
+            with pytest.raises(SingularCoefficientError, match="x=0.0"):
+                max_char_speed(sc)
+            with pytest.raises(SingularCoefficientError, match="x=0.0"):
+                solve(sc, np.zeros((11, 1)))
+
+    def test_node_speeds_computed_once_per_scenario(self, monkeypatch):
+        # speed 1 + 0.5 sin 4t: one distinct speed row per time node
+        def h1(x, t):
+            return (1.0 + 0.5 * np.sin(4.0 * t))[..., None, None]
+
+        sc = Scenario(name="pulsing", grid=SpaceTimeGrid(0.0, 1.0, 0.5, 41,
+                                                         301),
+                      n_comp=1, h0=SymMatrixField.constant([[1.0]]),
+                      h1=SymMatrixField(1, h1, time_independent=False),
+                      eta=SpatialWeight.linear(1.0), beta=0.5)
+        calls = []
+        char_speeds = fields._char_speeds
+
+        def counting(h0m, h1m):
+            calls.append(len(h0m))
+            return char_speeds(h0m, h1m)
+
+        monkeypatch.setattr(fields, "_char_speeds", counting)
+        first = solve(sc, lambda x: np.sin(np.pi * x))
+        assert sum(calls) == 301
+        second = solve(sc, lambda x: np.sin(np.pi * x))
+        admissible_time_nodes(sc)
+        assert sum(calls) == 301
+        assert np.array_equal(first.u.values, second.u.values)
 
     @pytest.mark.parametrize("name", ["transport", "coupled-spd", "wave-type"])
     def test_energy_nonincreasing_constant_coefficients(self, name):
@@ -271,8 +301,13 @@ class TestClosureProjectors:
 class TestAutoTimeNodes:
     @pytest.fixture
     def pulsing_catalog(self, monkeypatch):
+        """Time nodes of every grid on which h1 is sampled, in order."""
+        sampled = []
+
         # speed 1 + 0.5 sin 4t peaks at t = pi/8, between t=0 and t=T=0.5
         def h1(x, t):
+            if np.ndim(x) == 2:  # a full-grid sampling, not a boundary point
+                sampled.append(np.shape(t)[0])
             return (1.0 + 0.5 * np.sin(4.0 * t))[..., None, None]
 
         entry = CatalogEntry(
@@ -284,6 +319,7 @@ class TestAutoTimeNodes:
         for name in ("symhyp.catalog", "symhyp.config"):
             monkeypatch.setattr(importlib.import_module(name), "catalog",
                                 lambda: {"pulsing": entry})
+        return sampled
 
     @pytest.mark.parametrize("route", ["build_scenario", "resolve_scenario"])
     def test_auto_nt_accepted_for_time_dependent_speed(self, pulsing_catalog,
@@ -295,6 +331,9 @@ class TestAutoTimeNodes:
             sc, _ = resolve_scenario(cfg)
         res = solve(sc, lambda x: np.sin(np.pi * x))
         assert res.cfl_used <= 0.5 * (1 + 1e-12)
+        # the run marches on the accepted candidate, sampled only once
+        assert pulsing_catalog[0] == 2 and pulsing_catalog[-1] == sc.grid.nt
+        assert len(set(pulsing_catalog)) == len(pulsing_catalog)
 
 
 def test_import_does_not_load_scipy():
