@@ -318,6 +318,10 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
+        if args.seed < 0:
+            print("config error: seed must be a non-negative integer",
+                  file=sys.stderr)
+            return 2
         cfg = replace(cfg, seed=args.seed)
     if args.nx is not None:
         if args.nx < 3:

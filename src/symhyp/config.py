@@ -22,7 +22,7 @@ import yaml
 from .catalog import CatalogEntry, _instantiate, build_scenario, catalog
 from .errors import AsymmetricFieldError, BetaSelectionError, ConfigError
 from .fields import MatrixField, Scenario, SymMatrixField
-from .hypotheses import check_eta_coercivity, check_h0_bounds, select_beta
+from .hypotheses import check_hypotheses, select_beta
 
 EXPERIMENTS = ("hypotheses", "solve", "carleman-scan", "observability",
                "energy", "identities")
@@ -67,6 +67,11 @@ def _is_number(v) -> bool:
     are refused."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
             and abs(v) <= sys.float_info.max)
+
+
+def _is_int(v) -> bool:
+    """An int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _matrix_literal(spec, tag: str, errors: list[str]):
@@ -127,12 +132,12 @@ def _parse_initial(node, errors: list[str]) -> InitialSpec:
         kind = "sine"
     spec = InitialSpec(kind=kind)
     if "mode" in node:
-        if not isinstance(node["mode"], int) or node["mode"] < 1:
+        if not _is_int(node["mode"]) or node["mode"] < 1:
             errors.append("initial.mode must be a positive integer")
         else:
             spec = replace(spec, mode=node["mode"])
     if "modes" in node:
-        if not isinstance(node["modes"], int) or node["modes"] < 1:
+        if not _is_int(node["modes"]) or node["modes"] < 1:
             errors.append("initial.modes must be a positive integer")
         else:
             spec = replace(spec, modes=node["modes"])
@@ -205,14 +210,14 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"grid must be a mapping (got {grid_node!r})")
         grid_node = {}
     nx = grid_node.get("nx", cfg.nx)
-    if not isinstance(nx, int) or nx < 3:
+    if not _is_int(nx) or nx < 3:
         errors.append(f"grid.nx must be an integer >= 3 (got {nx!r})")
     else:
         cfg = replace(cfg, nx=nx)
     nt = grid_node.get("nt", "auto")
     if nt == "auto" or nt is None:
         cfg = replace(cfg, nt=None)
-    elif isinstance(nt, int) and nt >= 2:
+    elif _is_int(nt) and nt >= 2:
         cfg = replace(cfg, nt=nt)
     else:
         errors.append(f"grid.nt must be an integer >= 2 or 'auto' (got {nt!r})")
@@ -281,16 +286,16 @@ def parse_config(text: str) -> RunConfig:
 
     ens = doc.get("ensemble", None)
     if ens is not None:
-        if isinstance(ens, int) and ens >= 1:
+        if _is_int(ens) and ens >= 1:
             cfg = replace(cfg, ensemble=ens)
         elif isinstance(ens, dict) and set(ens) <= {"size", "modes", "decay"}:
             size = ens.get("size", cfg.ensemble)
             modes = ens.get("modes", cfg.modes)
             decay = ens.get("decay", cfg.decay)
-            if not isinstance(size, int) or size < 1:
+            if not _is_int(size) or size < 1:
                 errors.append(f"ensemble.size must be a positive integer "
                               f"(got {size!r})")
-            elif not isinstance(modes, int) or modes < 1:
+            elif not _is_int(modes) or modes < 1:
                 errors.append(f"ensemble.modes must be a positive integer "
                               f"(got {modes!r})")
             elif not _is_number(decay):
@@ -303,8 +308,9 @@ def parse_config(text: str) -> RunConfig:
                           f"with size/modes/decay (got {ens!r})")
 
     if "seed" in doc:
-        if not isinstance(doc["seed"], int):
-            errors.append(f"seed must be an integer (got {doc['seed']!r})")
+        if not _is_int(doc["seed"]) or doc["seed"] < 0:
+            errors.append(f"seed must be a non-negative integer "
+                          f"(got {doc['seed']!r})")
         else:
             cfg = replace(cfg, seed=doc["seed"])
 
@@ -328,7 +334,7 @@ def _validate_inline(node: dict, doc: dict, errors: list[str]) -> dict:
     for key in sorted(set(node) - known):
         errors.append(f"scenario: unknown key {key!r}")
     n = node.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         errors.append(f"scenario.n must be a positive integer (got {n!r})")
         n = 1
     out = {"name": str(node.get("name", "inline")), "n": n}
@@ -419,14 +425,15 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
         info["beta_source"] = "auto" if auto_beta else "config"
 
     if auto_beta:
-        eta_c = check_eta_coercivity(scenario)
-        h0b = check_h0_bounds(scenario)
-        if not (eta_c.passed and h0b.passed):
+        report = check_hypotheses(scenario)
+        if not (report.verdicts["eta_coercivity"]
+                and report.verdicts["h0_bounds"]):
             raise ConfigError(
                 ["weight.beta='auto' needs the directional and h0 bounds "
-                 f"to hold (delta0={eta_c.value!r}, delta1={h0b.delta1!r})"])
+                 f"to hold (delta0={report.delta0!r}, "
+                 f"delta1={report.delta1!r})"])
         try:
-            selection = select_beta(eta_c.value, h0b.M, scenario.eta,
+            selection = select_beta(report.delta0, report.M, scenario.eta,
                                     scenario.grid)
         except BetaSelectionError as exc:
             raise ConfigError([f"weight.beta='auto' failed: {exc}"]) from exc

@@ -4,9 +4,11 @@ The weighted-estimate scan samples the solution quantifier with manufactured
 solutions: arbitrary seeded smooth grid functions whose source is defined as
 their own discrete residual.  The observability and energy studies use
 genuine zero-inflow solves of the homogeneous system, as those statements
-require.  Every study refuses to run (with the full hypothesis report
-attached) when its structural hypotheses fail, and every aggregation is a
-max over non-degenerate members, so adding members can only grow the
+require.  Every study builds the hypothesis report that `check` prints
+and refuses to run through `HypothesisReport.require` when one of its
+structural hypotheses fails: the refusal names each failed check with its
+worst node and value and carries the report.  Every aggregation is a max
+over non-degenerate members, so adding members can only grow the
 estimated constants.
 """
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import HypothesisRefusal
 from .fields import (
     GridFunction,
     Scenario,
@@ -32,13 +33,7 @@ from .functionals import (
     energy_ledger,
     observability_ratio,
 )
-from .hypotheses import (
-    check_eta_coercivity,
-    check_h0_bounds,
-    check_hypotheses,
-    check_weight_coercivity,
-    minimal_time,
-)
+from .hypotheses import check_hypotheses
 from .solver import CFL_DEFAULT, residual, solve
 
 #: relative band around the tail level that defines the stabilization point
@@ -183,12 +178,7 @@ def scan_carleman(scenario: Scenario, ensemble: int = 20,
     then, since arbitrary samples cannot be resampled).  Identically zero
     members are counted as degenerate and excluded from every maximum.
     """
-    weight = check_weight_coercivity(scenario)
-    if not weight.passed:
-        raise HypothesisRefusal(
-            f"weight coercivity fails on {scenario.name}: lambda_min="
-            f"{weight.value!r} at x={weight.worst_x!r}, t={weight.worst_t!r}",
-            check_hypotheses(scenario))
+    check_hypotheses(scenario).require("weight_coercivity")
     s_grid = tuple(float(s) for s in s_grid)
     members, coarse, fine, drift = _two_grids(
         scenario, members, ensemble,
@@ -223,29 +213,6 @@ def _homogeneous(scenario: Scenario) -> Scenario:
         else scenario
 
 
-def _observability_guard(scenario: Scenario) -> tuple[float, list[str]]:
-    eta_c = check_eta_coercivity(scenario)
-    h0b = check_h0_bounds(scenario)
-    failed = []
-    if not eta_c.passed:
-        failed.append(f"eta coercivity fails: lambda_min={eta_c.value!r} "
-                      f"at x={eta_c.worst_x!r}, t={eta_c.worst_t!r}")
-    if not h0b.passed:
-        failed.append(f"h0 bounds fail: delta1={h0b.delta1!r} "
-                      f"at x={h0b.worst_x!r}, t={h0b.worst_t!r}")
-    if failed:
-        raise HypothesisRefusal(
-            f"observability hypotheses fail on {scenario.name}: "
-            + "; ".join(failed), check_hypotheses(scenario))
-    t_min = minimal_time(scenario.eta, eta_c.value, h0b.M, scenario.grid)
-    warnings = []
-    if scenario.grid.t_final <= t_min:
-        warnings.append(
-            f"T={scenario.grid.t_final!r} does not exceed the critical time "
-            f"T_min={t_min!r}; proceeding (counterexample study)")
-    return t_min, warnings
-
-
 def estimate_observability(scenario: Scenario, ensemble: int = 20,
                            seed: int = 0, initial_kind: str = "random",
                            modes: int = 3, decay: float = 2.0,
@@ -257,13 +224,20 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
     """Solve the homogeneous system per member and aggregate trace ratios.
 
     Zero inflow throughout; initial data is either the seeded band-limited
-    sine ensemble ("random") or the compactly supported bump ("bump").
+    sine ensemble ("random") or the compactly supported bump ("bump"), a
+    single deterministic member to which `ensemble` does not apply.
     The verdict is OBSERVABLE only when the horizon exceeds the critical
     time and every non-degenerate ratio is finite; otherwise the worst
     member is recorded as the counterexample.
     """
     scenario = _homogeneous(scenario)
-    t_min, warnings = _observability_guard(scenario)
+    report = check_hypotheses(scenario)
+    report.require("eta_coercivity", "h0_bounds")
+    t_min = report.T_min
+    in_time = report.verdicts["time_window"]
+    warnings = () if in_time else (
+        f"T={scenario.grid.t_final!r} does not exceed the critical time "
+        f"T_min={t_min!r}; proceeding (counterexample study)",)
 
     if members is None:
         if initial_kind == "random":
@@ -273,8 +247,7 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
                        for i in range(ensemble)]
         elif initial_kind == "bump":
             members = [bump_profile(scenario.grid, support,
-                                    scenario.n_comp, amplitude)
-                       for _ in range(ensemble)]
+                                    scenario.n_comp, amplitude)]
         else:
             raise ValueError(f"unknown initial_kind {initial_kind!r}")
 
@@ -287,7 +260,7 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
     # ratios are >= 0, so the largest usable one is finite exactly when
     # there is one and every usable ratio is finite
     c_obs = _usable_max(ratios)
-    observable = scenario.grid.t_final > t_min and math.isfinite(c_obs)
+    observable = in_time and math.isfinite(c_obs)
     counterexample = None
     if not observable and not math.isnan(c_obs):
         worst = int(np.nanargmax([r if not math.isnan(r) else -math.inf
@@ -298,7 +271,7 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         scenario=scenario.name, t_final=scenario.grid.t_final, t_min=t_min,
         ratios=tuple(ratios), c_obs=c_obs,
         verdict="OBSERVABLE" if observable else "COUNTEREXAMPLE",
-        warnings=tuple(warnings), counterexample=counterexample,
+        warnings=warnings, counterexample=counterexample,
         degenerate=sum(map(math.isnan, ratios)))
 
 
@@ -339,12 +312,7 @@ def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,
     profiles are resampled on the node-doubled grid for a drift estimate.
     """
     scenario = _homogeneous(scenario)
-    h0b = check_h0_bounds(scenario)
-    if not h0b.passed:
-        raise HypothesisRefusal(
-            f"h0 bounds fail on {scenario.name}: delta1={h0b.delta1!r} "
-            f"at x={h0b.worst_x!r}, t={h0b.worst_t!r}",
-            check_hypotheses(scenario))
+    check_hypotheses(scenario).require("h0_bounds")
     _, ratios, fine, drift = _two_grids(
         scenario, members, ensemble,
         make_member=lambda grid, i: random_initial_profile(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BetaSelectionError
+from .errors import BetaSelectionError, HypothesisRefusal
 from .fields import (
     SIDES,
     Scenario,
@@ -212,6 +212,24 @@ class HypothesisReport:
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
+
+    def require(self, *names: str) -> None:
+        """Raise HypothesisRefusal, carrying this report, unless every
+        named check passed.
+
+        The message names each failed check with its worst node and value
+        from `witnesses`, so only witnessed checks can be required.
+        """
+        failed = []
+        for name in names:
+            if not self.verdicts[name]:
+                x, t, lam = self.witnesses[name]
+                failed.append(f"{name} fails: lambda_min={lam!r} "
+                              f"at x={x!r}, t={t!r}")
+        if failed:
+            raise HypothesisRefusal(
+                f"hypotheses fail on {self.scenario}: " + "; ".join(failed),
+                self)
 
     def to_text(self) -> str:
         """Flat key/value rendering, one entry per line."""

@@ -113,6 +113,34 @@ class TestParseConfig:
             parse_config(MINIMAL + NON_FINITE_SLOTS[key].format(value))
         assert any(m.startswith(key) for m in err.value.messages)
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "-3"), ("seed", "true"), ("ensemble", "true"),
+        ("ensemble.size", "true"), ("ensemble.modes", "true"),
+        ("initial.mode", "true"), ("initial.modes", "true"),
+    ])
+    def test_bad_integer_refused(self, key, value):
+        section, _, leaf = key.partition(".")
+        line = (f"{section}: {{{leaf}: {value}}}\n" if leaf
+                else f"{section}: {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + line)
+        assert any(m.startswith(key) for m in err.value.messages)
+
+    def test_beta_auto_needs_the_bounds(self, tmp_path, capsys):
+        text = "scenario: wave-type\ngrid: {nx: 21}\nweight: {beta: auto}\n"
+        with pytest.raises(ConfigError) as err:
+            resolve_scenario(parse_config(text))
+        assert "delta0=" in str(err.value) and "delta1=" in str(err.value)
+        assert main(["check", "--config", _cfg_file(tmp_path, text)]) == 2
+        assert "config error: weight.beta='auto'" in capsys.readouterr().err
+
+    def test_beta_auto_below_critical_time(self):
+        cfg = parse_config("scenario: transport\nT: 0.5\ngrid: {nx: 21}\n"
+                           "weight: {beta: auto}\n")
+        with pytest.raises(ConfigError) as err:
+            resolve_scenario(cfg)
+        assert "weight.beta='auto' failed: no admissible beta" in str(err.value)
+
     @pytest.mark.parametrize("text", [MINIMAL, RICH, INLINE])
     def test_round_trip(self, text):
         cfg = parse_config(text)
@@ -273,8 +301,9 @@ class TestCliRuns:
 
     def test_bad_s_flag_exits_2(self, tmp_path):
         cfg = _cfg_file(tmp_path, MINIMAL)
-        for s_flag in ("1,-2", "nan,1", "inf"):
-            assert main(["carleman", "--config", cfg, "--s", s_flag]) == 2
+        for flags in (["--s", "1,-2"], ["--s", "nan,1"], ["--s", "inf"],
+                      ["--seed", "-1"]):
+            assert main(["carleman", "--config", cfg, *flags]) == 2
 
     def test_scenarios_verb(self, capsys):
         assert main(["scenarios"]) == 0

@@ -13,12 +13,46 @@ from symhyp import (
     SpatialWeight,
     SymMatrixField,
     build_scenario,
+    check_hypotheses,
     estimate_observability,
     scan_carleman,
     verify_energy_estimate,
 )
 
 from conftest import system_scenario
+
+
+def _indefinite_h0():
+    return system_scenario([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
+
+
+def _wave_type():
+    return build_scenario("wave-type", nx=31)
+
+
+@pytest.mark.parametrize("study, make, check", [
+    (scan_carleman, _wave_type, "weight_coercivity"),
+    (estimate_observability, _wave_type, "eta_coercivity"),
+    (verify_energy_estimate, _indefinite_h0, "h0_bounds"),
+], ids=["carleman", "observability", "energy"])
+def test_refusal_reads_the_check_report(study, make, check):
+    sc = make()
+    with pytest.raises(HypothesisRefusal) as err:
+        study(sc, ensemble=1)
+    msg = str(err.value)
+    assert msg.startswith(f"hypotheses fail on {sc.name}:")
+    for part in (f"{check} fails:", "lambda_min=", "x=", "t="):
+        assert part in msg
+    assert err.value.report.to_text() == check_hypotheses(sc).to_text()
+
+
+def test_observability_refusal_names_every_failed_check():
+    sc = system_scenario([[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, -1.0]))
+    with pytest.raises(HypothesisRefusal) as err:
+        estimate_observability(sc, ensemble=1)
+    msg = str(err.value)
+    assert "eta_coercivity fails:" in msg and "h0_bounds fails:" in msg
+    assert msg.count("; ") == 1
 
 
 class TestScanCarleman:
@@ -121,6 +155,11 @@ class TestEstimateObservability:
         assert ratios[101] > 10.0
         assert ratios[201] > ratios[101]
 
+    def test_bump_is_one_member(self):
+        sc = build_scenario("transport", nx=51, t_final=0.5)
+        report = estimate_observability(sc, ensemble=3, initial_kind="bump")
+        assert len(report.ratios) == 1
+
     def test_zero_member_degenerate(self):
         sc = build_scenario("transport", nx=51, t_final=1.5)
         report = estimate_observability(sc, members=[np.zeros((51, 1))])
@@ -136,7 +175,7 @@ class TestEstimateObservability:
 
 class TestVerifyEnergyEstimate:
     def test_refusal_on_indefinite_h0(self):
-        sc = system_scenario([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
+        sc = _indefinite_h0()
         with pytest.raises(HypothesisRefusal):
             verify_energy_estimate(sc, ensemble=1)
 

@@ -14,6 +14,7 @@ from symhyp import (
     SymMatrixField,
     bump_profile,
     central_derivative,
+    eig_bounds,
     min_max_eigenvalues,
     random_initial_profile,
     random_smooth_gridfunction,
@@ -106,23 +107,28 @@ class TestMinMaxEigenvalues:
         with pytest.raises(AsymmetricFieldError):
             min_max_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_characteristic_polynomial(self, n):
-        # independent oracle: roots of the analytically assembled char poly
+        # independent oracle: roots of the analytically assembled char poly,
+        # for one matrix at a time and for eig_bounds on the whole stack
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            a = rng.standard_normal((n, n))
-            mat = a + a.T
-            if n == 2:
+        a = rng.standard_normal((50, n, n))
+        stack = a + np.swapaxes(a, -1, -2)
+        stack_min, stack_max = eig_bounds(stack)
+        for k, mat in enumerate(stack):
+            if n == 1:
+                coeffs = [1.0, -mat[0, 0]]
+            elif n == 2:
                 coeffs = [1.0, -np.trace(mat), np.linalg.det(mat)]
             else:
                 minors = sum(mat[i, i] * mat[j, j] - mat[i, j] * mat[j, i]
                              for i in range(3) for j in range(i + 1, 3))
                 coeffs = [1.0, -np.trace(mat), minors, -np.linalg.det(mat)]
             roots = np.sort(np.roots(coeffs).real)
-            lmin, lmax = min_max_eigenvalues(mat)
-            assert lmin == pytest.approx(roots[0], abs=1e-8)
-            assert lmax == pytest.approx(roots[-1], abs=1e-8)
+            for lmin, lmax in (min_max_eigenvalues(mat),
+                               (stack_min[k], stack_max[k])):
+                assert lmin == pytest.approx(roots[0], abs=1e-8)
+                assert lmax == pytest.approx(roots[-1], abs=1e-8)
 
 
 class TestCentralDerivative:
