@@ -3,10 +3,12 @@
 Verbs: check | solve | carleman | observe | energy | identities | scenarios.
 Each experiment verb reads a YAML config (--config), applies flag overrides,
 prints a summary to stdout, and writes CSV artifacts into the output
-directory.  Exit status is 0 only when every executed check passed; a
-hypothesis refusal or an invariant violation exits 1, configuration errors
-exit 2.  Outputs carry no timestamps, so identical config + seed reproduces
-identical bytes.
+directory: cells are formatted a column at a time, floats by `repr` (full
+round-trip precision), and `solution.csv` is streamed one time row at a
+time.  Exit status is 0 only when every executed check passed; a hypothesis
+refusal or an invariant violation exits 1, configuration errors exit 2.
+Outputs carry no timestamps, so identical config + seed reproduces identical
+bytes.
 """
 
 from __future__ import annotations
@@ -52,19 +54,33 @@ VERB_EXPERIMENTS = {
 }
 
 
-def _fmt(value) -> str:
+def _column(values) -> list[str]:
+    """One CSV column as text: floats by repr, everything else by str."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
     # float() first: numpy 2 scalars repr as "np.float64(...)"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    return [repr(float(v)) if isinstance(v, float) else str(v)
+            for v in values]
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _fmt(value) -> str:
+    """A scalar for stdout, in the same text as its CSV cell."""
+    return _column((value,))[0]
+
+
+def _table(rows) -> list[list[list[str]]]:
+    """Rows of cells as the single block of formatted columns."""
+    return [[_column(col) for col in zip(*rows)]]
+
+
+def _write_csv(path: Path, header, blocks) -> None:
+    """Write the header, then each block of equal-length text columns;
+    a generator of blocks streams the table one block at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for columns in blocks:
+            writer.writerows(zip(*columns, strict=True))
 
 
 def _initial_data(cfg: RunConfig, scenario: Scenario):
@@ -91,7 +107,7 @@ def _run_hypotheses(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     (out / "hypotheses.txt").write_text(report.to_text())
     _write_csv(out / "boundary_classification.csv",
                ("side", "x", "time_index", "t", "label"),
-               report.classification_rows(scenario.grid))
+               _table(report.classification_rows(scenario.grid)))
     print(report.to_text(), end="")
     return 0 if report.passed else 1
 
@@ -101,17 +117,15 @@ def _run_solve(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
                    cfl_factor=cfg.cfl_factor)
     grid = scenario.grid
     comp_cols = [f"u_{j + 1}" for j in range(scenario.n_comp)]
-    xs, ts = grid.x.tolist(), grid.t.tolist()
-    rows = []
-    for n, tv in enumerate(ts):
-        for i, (xv, uv) in enumerate(zip(xs, result.u.values[n].tolist())):
-            rows.append((i, n, xv, tv, *uv))
-    _write_csv(out / "solution.csv", ("i", "n", "x", "t", *comp_cols), rows)
-    trows = []
-    for side, trace in zip(SIDES, result.traces.tolist()):
-        for tv, uv in zip(ts, trace):
-            trows.append((side, tv, *uv))
-    _write_csv(out / "traces.csv", ("side", "t", *comp_cols), trows)
+    # i, x and t are formatted once; every time row reuses their strings
+    i_col, x_col, t_col = map(_column, (range(grid.nx), grid.x, grid.t))
+    _write_csv(out / "solution.csv", ("i", "n", "x", "t", *comp_cols),
+               ((i_col, [str(n)] * grid.nx, x_col, [t_txt] * grid.nx,
+                 *map(_column, u_n.T))
+                for n, (t_txt, u_n) in enumerate(zip(t_col, result.u.values))))
+    _write_csv(out / "traces.csv", ("side", "t", *comp_cols),
+               [([side] * grid.nt, t_col, *map(_column, trace.T))
+                for side, trace in zip(SIDES, result.traces)])
     print(f"solve: scheme={result.scheme} cfl_used={result.cfl_used!r} "
           f"cfl_limit={result.cfl_limit!r}")
     print(f"solve: wrote {grid.nt * grid.nx} solution rows, "
@@ -126,17 +140,12 @@ def _run_carleman(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     header = ("scenario", "member", "s", "lhs_initial", "lhs_volume",
               "lhs_gamma_minus", "rhs_source", "rhs_gamma_rest",
               "rhs_terminal", "log_scale", "ratio")
-
-    def rows_of(scan_pass):
-        for row in scan_pass.rows:
-            yield (report.scenario, row.member, row.s, *row.terms.as_tuple(),
-                   row.terms.log_scale, row.ratio)
-
-    _write_csv(out / "carleman_scan.csv", header, rows_of(report.coarse))
-    if report.fine is not None:
-        _write_csv(out / "carleman_scan_refined.csv", header,
-                   rows_of(report.fine))
-
+    for name, scan in (("carleman_scan.csv", report.coarse),
+                       ("carleman_scan_refined.csv", report.fine)):
+        if scan is not None:
+            _write_csv(out / name, header, _table(
+                (report.scenario, row.member, row.s, *row.terms.as_tuple(),
+                 row.terms.log_scale, row.ratio) for row in scan.rows))
     print(f"carleman-scan: scenario={report.scenario} "
           f"ensemble={report.ensemble} degenerate={report.coarse.degenerate}")
     for s, rho in zip(report.s_grid, report.rho_max):
@@ -161,8 +170,8 @@ def _run_observability(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
         modes=spec.modes, decay=spec.decay, support=spec.support,
         amplitude=spec.amplitude, cfl_factor=cfg.cfl_factor, members=members)
     _write_csv(out / "observability.csv", ("scenario", "member", "ratio"),
-               [(report.scenario, i, r)
-                for i, r in enumerate(report.ratios)])
+               _table((report.scenario, i, r)
+                      for i, r in enumerate(report.ratios)))
     print(f"observability: scenario={report.scenario} T={report.t_final!r} "
           f"T_min={report.t_min!r} ensemble={len(report.ratios)} "
           f"degenerate={report.degenerate}")
@@ -182,12 +191,12 @@ def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
         scenario, ensemble=cfg.ensemble, seed=cfg.seed,
         modes=cfg.initial.modes, decay=cfg.initial.decay,
         cfl_factor=cfg.cfl_factor, refine=True)
-    rows = []
-    for i, r in enumerate(report.ratios):
-        fine = report.ratios_fine[i] if report.ratios_fine else math.nan
-        rows.append((report.scenario, i, r, fine))
+    m = len(report.ratios)
     _write_csv(out / "energy.csv",
-               ("scenario", "member", "max_ratio", "max_ratio_refined"), rows)
+               ("scenario", "member", "max_ratio", "max_ratio_refined"),
+               [[[report.scenario] * m, _column(range(m)),
+                 _column(report.ratios),
+                 _column(report.ratios_fine or (math.nan,) * m)]])
     print(f"energy: scenario={report.scenario} ensemble={len(report.ratios)} "
           f"degenerate={report.degenerate}")
     print(f"  C_energy={report.c_energy!r}")
@@ -216,18 +225,16 @@ def _run_identities(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     for s in cfg.s_grid:
         coarse = conjugation_defect(w, scenario, s)
         fine = conjugation_defect(w_fine, fine_scenario, s)
-        rows.append(("conjugation", _fmt(s), coarse, fine,
+        rows.append(("conjugation", s, coarse, fine,
                      coarse / fine if fine else math.inf))
     _write_csv(out / "identities.csv",
                ("check", "parameter", "coarse_defect", "fine_defect",
-                "shrink_factor"), rows)
-    ok = True
+                "shrink_factor"), _table(rows))
     for check, param, coarse, fine, factor in rows:
         status = "pass" if factor >= IDENTITY_SHRINK_FACTOR else "FAIL"
-        ok = ok and factor >= IDENTITY_SHRINK_FACTOR
-        print(f"identities: {check}[{param}] coarse={coarse!r} fine={fine!r} "
-              f"shrink={factor!r} {status}")
-    return 0 if ok else 1
+        print(f"identities: {check}[{_fmt(param)}] coarse={coarse!r} "
+              f"fine={fine!r} shrink={factor!r} {status}")
+    return 0 if all(r[4] >= IDENTITY_SHRINK_FACTOR for r in rows) else 1
 
 
 _RUNNERS = {
