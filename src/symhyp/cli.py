@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -73,14 +75,49 @@ def _table(rows) -> list[list[list[str]]]:
     return [[_column(col) for col in zip(*rows)]]
 
 
+#: characters that can make csv.writer quote a cell: its delimiter, its
+#: quote character and line breaks
+_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
+
+
+def _quoted(column: list[str], lone: bool) -> list[str]:
+    """A text column as csv.writer's minimal quoting writes its cells.
+
+    A column without a delimiter, quote or line break passes unchanged,
+    unless it is the lone column of its rows and has an empty cell (a
+    one-field row of "" is written quoted).  Any other column goes cell by
+    cell through csv.writer itself, next to an empty field when not lone.
+    """
+    text = "".join(column)
+    if not any(ch in text for ch in _QUOTE_TRIGGERS) and \
+            not (lone and "" in column):
+        return column
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    cells = []
+    for cell in column:
+        fh.seek(0)
+        fh.truncate()
+        row = (cell,) if lone else (cell, "")
+        writer.writerow(row)
+        # strip the row's trailing "," (when not lone) and "\n"
+        cells.append(fh.getvalue()[:-len(row)])
+    return cells
+
+
 def _write_csv(path: Path, header, blocks) -> None:
     """Write the header, then each block of equal-length text columns;
-    a generator of blocks streams the table one block at a time."""
+    a generator of blocks streams the table one block at a time.  The
+    bytes are those of csv.writer with lineterminator "\n"."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for columns in blocks:
-            writer.writerows(zip(*columns, strict=True))
+        for columns in itertools.chain([[[name] for name in header]],
+                                       blocks):
+            lone = len(columns) == 1
+            lines = list(map(",".join, zip(
+                *(_quoted(col, lone) for col in columns), strict=True)))
+            if lines:
+                fh.write("\n".join(lines))
+                fh.write("\n")
 
 
 def _initial_data(cfg: RunConfig, scenario: Scenario):

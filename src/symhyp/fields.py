@@ -330,23 +330,34 @@ def eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0], w[..., -1]
 
 
-def _whiten(h0m: np.ndarray, h1m: np.ndarray):
-    """Cholesky whitening of the pencil (h1, h0) per node: (L, L^-1 h1 L^-T).
+def _inverse_factor(h0m: np.ndarray) -> np.ndarray:
+    """L^-1 per node, for the Cholesky factor L of h0 = L L^T.
 
-    h0 = L L^T, so the symmetric matrix returned has the generalized
-    eigenvalues of (h1, h0).  h0 must already be checked positive definite.
+    h0 must already be checked positive definite.
     """
-    chol = np.linalg.cholesky(h0m)
-    y = np.linalg.solve(chol, h1m)
-    return chol, np.linalg.solve(chol, np.swapaxes(y, -1, -2))
+    return np.linalg.inv(np.linalg.cholesky(h0m))
 
 
-def _char_speeds(h0m: np.ndarray, h1m: np.ndarray) -> np.ndarray:
-    """Largest |generalized eigenvalue| of (h1, h0) per node."""
+def _whiten(linv: np.ndarray, h1m: np.ndarray) -> np.ndarray:
+    """Cholesky whitening of the pencil (h1, h0) per node: L^-1 h1 L^-T.
+
+    The symmetric matrix returned has the generalized eigenvalues of
+    (h1, h0).  linv is h0's `_inverse_factor`; its leading axes broadcast
+    against h1's, so one factor of a time-independent h0 whitens every h1
+    row.
+    """
+    return linv @ h1m @ np.swapaxes(linv, -1, -2)
+
+
+def _char_speeds(h0m: np.ndarray, h1m: np.ndarray,
+                 linv: np.ndarray | None = None) -> np.ndarray:
+    """Largest |generalized eigenvalue| of (h1, h0) per node; linv is h0's
+    `_inverse_factor` when the caller already has it."""
     if h0m.shape[-1] == 1:
         return np.abs(h1m[..., 0, 0] / h0m[..., 0, 0])
-    w = np.linalg.eigvalsh(_whiten(h0m, h1m)[1])
-    return np.abs(w).max(axis=-1)
+    if linv is None:
+        linv = _inverse_factor(h0m)
+    return np.abs(np.linalg.eigvalsh(_whiten(linv, h1m))).max(axis=-1)
 
 
 def boundary_classes(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,13 +440,16 @@ class GridSamples:
             raise SingularCoefficientError(
                 f"h0 is not positive definite at x={float(self.grid.x[i])}, "
                 f"t={float(self.grid.t[n])} (lambda_min={lmin.min()!r})")
-        h0, h1 = np.broadcast_arrays(self.h0, self.h1)
-        speeds = np.empty(h0.shape[:2])
+        h0, h1 = self.h0, self.h1
+        # a time-independent h0 is factored once for every h1 row
+        linv = _inverse_factor(h0) if len(h0) == 1 else None
+        speeds = np.empty((max(len(h0), len(h1)), h0.shape[1]))
         # whitening a block of rows at a time bounds its temporaries
         block = 256
         for k in range(0, len(speeds), block):
-            speeds[k:k + block] = _char_speeds(h0[k:k + block],
-                                               h1[k:k + block])
+            speeds[k:k + block] = _char_speeds(
+                h0 if len(h0) == 1 else h0[k:k + block],
+                h1 if len(h1) == 1 else h1[k:k + block], linv)
         speeds.flags.writeable = False
         return speeds
 

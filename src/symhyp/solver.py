@@ -7,6 +7,12 @@ take the prescribed inflow data, outgoing ones are linearly extrapolated from
 the two adjacent interior nodes.  First order, dissipative, and stable under
 the usual Courant restriction on the fastest characteristic.
 
+The scheme is linear, so `solve` builds it before the first step: the
+interior update as a three-point block stencil stored as flat bands over
+the flat state of a time row (`_interior_bands`), and the closure folded
+into one (n, 2n) map per boundary node of its two neighbours.  A step is
+then one banded product and two small matrix products.
+
 The target inequalities quantify over solutions without any boundary
 condition; a discrete marcher must impose some inflow closure, so solutions
 generated here form a subfamily of that admissible set (the manufactured
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CflViolationError, GridMismatchError
 from .fields import (
@@ -30,6 +37,7 @@ from .fields import (
     GridFunction,
     Scenario,
     SpaceTimeGrid,
+    _inverse_factor,
     _whiten,
     central_derivative,
     check_same_grid,
@@ -39,6 +47,10 @@ CFL_DEFAULT = 0.5
 
 #: characteristics with |speed| below this are treated as non-propagating
 SPEED_TOL = 1e-12
+
+#: time rows banded at once when a coefficient depends on t; bounds the
+#: stencil's memory to this many rows
+BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -103,9 +115,9 @@ def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
     characteristics keep the extrapolated state, incoming ones take the
     inflow data g.  P_in is zero where nothing enters.
     """
-    chol, sym = _whiten(h0b, flux)
-    lam, w = np.linalg.eigh(sym)
-    vecs = np.linalg.solve(np.swapaxes(chol, -1, -2), w)
+    linv = _inverse_factor(h0b)
+    lam, w = np.linalg.eigh(_whiten(linv, flux))
+    vecs = np.swapaxes(linv, -1, -2) @ w
     incoming = (lam < -SPEED_TOL)[..., None, :]
     v_out = np.where(incoming, 0.0, vecs)
     v_in = np.where(incoming, vecs, 0.0)
@@ -137,6 +149,45 @@ def _inflow_data(inflow, t: np.ndarray, n_comp: int) -> np.ndarray:
     return g
 
 
+def _interior_bands(samples, start: int, stop: int, lam_c: float,
+                    ht: float) -> np.ndarray:
+    """The interior step of time rows start..stop-1 as flat bands.
+
+    One step is u_i <- L_i u_{i-1} + D_i u_i + R_i u_{i+1} at every interior
+    node i, with A = inv(h0) h1, lam_c = ht / (2 hx) and the Rusanov speeds
+    a_l, a_r of the node's two interfaces:
+    L = lam_c (A + a_l I), D = I - lam_c (a_r + a_l) I - ht inv(h0) p and
+    R = lam_c (a_r I - A).  Output (i, c) of the flat state, r = i n + c,
+    reads the flat window [r - 2n + 1, r + 2n), so its band row holds
+    [L_c | D_c | R_c] at offset n - 1 - c of a zero row of width 4n - 1,
+    and every diagonal entry falls in column n - 1, 2n - 1 or 3n - 1.
+    A time-independent sample contributes its one row; the result has
+    shape (rows, (nx - 2) n, 4n - 1) with rows 1 when nothing depends on t.
+    """
+    def rows(arr):
+        return arr if len(arr) == 1 else arr[start:stop]
+
+    inv_h0 = np.linalg.inv(rows(samples.h0)[:, 1:-1])
+    coef = lam_c * (inv_h0 @ rows(samples.h1)[:, 1:-1])
+    if samples.p is not None:
+        low = ht * (inv_h0 @ rows(samples.p)[:, 1:-1])
+    face = rows(samples.speeds)
+    face = lam_c * np.maximum(face[:, :-1], face[:, 1:])
+    lead = max(len(coef), len(face), 0 if samples.p is None else len(low))
+    n = coef.shape[-1]
+    band = np.zeros((lead,) + coef.shape[1:-1] + (4 * n - 1,))
+    for c in range(n):
+        band[..., c, n - 1 - c:2 * n - 1 - c] = coef[..., c, :]
+        band[..., c, 3 * n - 1 - c:4 * n - 1 - c] = -coef[..., c, :]
+        if samples.p is not None:
+            band[..., c, 2 * n - 1 - c:3 * n - 1 - c] = -low[..., c, :]
+    a_l, a_r = face[:, :-1, None], face[:, 1:, None]
+    band[..., n - 1] += a_l
+    band[..., 2 * n - 1] += 1.0 - (a_r + a_l)
+    band[..., 3 * n - 1] += a_r
+    return band.reshape(len(band), -1, 4 * n - 1)
+
+
 def solve(scenario: Scenario, initial, inflow: dict | None = None,
           cfl_factor: float = CFL_DEFAULT) -> SolveResult:
     """March the system on the scenario grid.
@@ -152,6 +203,14 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     refuses a grid where h0 fails to be positive definite at any node, then
     one whose time step violates the Courant bound at the fastest node of
     any time row.
+
+    Each step is one banded product over the flat state of the previous
+    time row (see `_interior_bands`), then the closure at the two boundary
+    nodes as one (n, 2n) map each of the two adjacent nodes, plus the
+    entering inflow data and ht inv(h0) source where they exist.  Static
+    coefficients give one band row for the whole march; time-dependent
+    ones are banded BAND_ROWS time rows at a time, so no stencil over all
+    time rows is ever held.
     """
     grid = scenario.grid
     n = scenario.n_comp
@@ -170,51 +229,63 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
             f"x={float(grid.x[fast[1]])!r}, t={float(grid.t[fast[0]])!r}; "
             f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
 
-    def steps(arr):
-        # one entry per time node; a time-independent sample holds one row
-        return np.broadcast_to(arr, (nt,) + arr.shape[1:])
-
-    rows = len(speeds)  # 1 unless h0 or h1 depends on t
-    # Rusanov speed at every interface; a_r and a_l view its two sides
-    iface = steps(np.maximum(speeds[:, :-1], speeds[:, 1:])[..., None])
-    a_r, a_l = iface[:, 1:], iface[:, :-1]
-    h1 = steps(samples.h1)[:, 1:-1]
-    inv_h0 = steps(np.linalg.inv(samples.h0))[:, 1:-1]
-    p = None if samples.p is None else steps(samples.p)[:, 1:-1]
+    # 1 unless a coefficient depends on t
+    rows = max(len(speeds), 1 if samples.p is None else len(samples.p))
     # the boundary flux has one distinct row when h0 and h1 have one
-    flux = samples.flux[:, :rows]
+    flux = samples.flux[:, :len(speeds)]
     h0b = np.broadcast_to(np.stack([samples.h0[:, 0], samples.h0[:, -1]]),
                           flux.shape)
-    p_out, p_in = (np.broadcast_to(pr, (2, nt, n, n))
-                   for pr in _closure_projectors(flux, h0b))
+    p_out, p_in = _closure_projectors(flux, h0b)
+    # u_b = P_out (2 u_1 - u_2) at x_lo and P_out (2 u_-2 - u_-3) at x_hi,
+    # as maps of the two adjacent nodes' flat state
+    eye = np.eye(n)
+    closure = np.broadcast_to(
+        np.stack([p_out[0] @ np.hstack([2.0 * eye, -eye]),
+                  p_out[1] @ np.hstack([-eye, 2.0 * eye])]),
+        (2, nt, n, 2 * n))
     # incoming part of the inflow data, (2, nt, n)
-    entering = (p_in @ _inflow_data(inflow, grid.t, n)[..., None])[..., 0]
+    entering = None if inflow is None else \
+        (p_in @ _inflow_data(inflow, grid.t, n)[..., None])[..., 0]
+    inv_h0 = None if scenario.source is None else \
+        np.broadcast_to(np.linalg.inv(samples.h0[:, 1:-1]),
+                        (nt, nx - 2, n, n))
 
-    u = np.empty((nt, nx, n))
+    # the march lives in one flat buffer with n - 1 zeros on either side:
+    # a window of width 4n - 1 around an interior output of row k reaches
+    # n - 1 values into row k - 1 (or the front zeros) and into the
+    # boundary node of row k + 1 (zero until closed), all under zero band
+    # entries, so every window is a zero-copy view of the buffer
+    width, size, inner = 4 * n - 1, nx * n, (nx - 2) * n
+    buf = np.zeros(nt * size + 2 * (n - 1))
+    u = buf[n - 1:n - 1 + nt * size].reshape(nt, nx, n)
     u[0] = _normalize_initial(initial, grid, n)
-    tgrid = grid.t
+    flat = u.reshape(nt, size)
+    windows = sliding_window_view(buf, width)
     lam_c = ht / (2.0 * hx)
+    tgrid = grid.t
 
-    for step in range(nt - 1):
-        tn = float(tgrid[step])
-        un = u[step]
-
-        # interior: central transport + Rusanov dissipation + lower order
-        rhs = np.einsum("iab,ib->ia", h1[step], un[2:] - un[:-2]) / (2 * hx)
-        if p is not None:
-            rhs = rhs + np.einsum("iab,ib->ia", p[step], un[1:-1])
-        if scenario.source is not None:
-            rhs = rhs - scenario.source(grid.x, np.asarray(tn))[1:-1]
-        upd = un[1:-1] - ht * np.einsum("iab,ib->ia", inv_h0[step], rhs)
-        upd = upd + lam_c * (a_r[step] * (un[2:] - un[1:-1])
-                             - a_l[step] * (un[1:-1] - un[:-2]))
-        u[step + 1, 1:-1] = upd
-
-        # characteristic closure at both boundary nodes, at the new time
-        un1 = u[step + 1]
-        for k, (ib, i1, i2) in enumerate(((0, 1, 2), (-1, -2, -3))):
-            un1[ib] = (p_out[k, step + 1] @ (2.0 * un1[i1] - un1[i2])
-                       + entering[k, step + 1])
+    block = BAND_ROWS if rows > 1 else nt - 1
+    for start in range(0, nt - 1, block):
+        stop = min(start + block, nt - 1)
+        bands = np.broadcast_to(
+            _interior_bands(samples, start, stop, lam_c, ht),
+            (stop - start, inner, width))
+        for step in range(start, stop):
+            new = u[step + 1]
+            interior = flat[step + 1, n:n + inner]
+            np.einsum("rk,rk->r", bands[step - start],
+                      windows[step * size:step * size + inner], out=interior)
+            if inv_h0 is not None:
+                force = scenario.source(grid.x, np.asarray(tgrid[step]))
+                interior += ht * np.einsum("iab,ib->ia", inv_h0[step],
+                                           force[1:-1]).ravel()
+            # characteristic closure at both boundary nodes, at the new time
+            np.dot(closure[0, step + 1], flat[step + 1, n:3 * n], out=new[0])
+            np.dot(closure[1, step + 1], flat[step + 1, -3 * n:-n],
+                   out=new[-1])
+            if entering is not None:
+                new[0] += entering[0, step + 1]
+                new[-1] += entering[1, step + 1]
 
     traces = np.stack([u[:, 0, :], u[:, -1, :]])
     return SolveResult(u=GridFunction(grid, u), traces=traces,

@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,8 +37,14 @@ from symhyp import (
 )
 from symhyp import fields
 from symhyp.catalog import CatalogEntry
-from symhyp.solver import SPEED_TOL, _closure_projectors
+from symhyp.solver import (
+    SPEED_TOL,
+    _closure_projectors,
+    _inflow_data,
+    _normalize_initial,
+)
 
+import test_functionals
 from conftest import scalar_scenario, system_scenario
 
 
@@ -182,9 +189,10 @@ class TestSolve:
         calls = []
         char_speeds = fields._char_speeds
 
-        def counting(h0m, h1m):
-            calls.append(len(h0m))
-            return char_speeds(h0m, h1m)
+        # a time-independent h0 is whitened once, so count the h1 rows
+        def counting(h0m, h1m, linv=None):
+            calls.append(len(h1m))
+            return char_speeds(h0m, h1m, linv)
 
         monkeypatch.setattr(fields, "_char_speeds", counting)
         first = solve(sc, lambda x: np.sin(np.pi * x))
@@ -248,6 +256,136 @@ class TestSolve:
         res = solve(sc, u0)
         assert np.all(np.isfinite(res.u.values))
         assert np.max(np.abs(res.u.values[-1])) <= np.max(np.abs(u0)) * 1.01
+
+
+def _einsum_march(scenario, initial, inflow=None):
+    """The step loop that the banded march replaced, as the oracle: three
+    per-node einsums a step on broadcast per-row coefficients, then the
+    closure u_b = P_out (2 u_1 - u_2) + P_in g, one side at a time."""
+    grid = scenario.grid
+    n = scenario.n_comp
+    nx, nt = grid.nx, grid.nt
+    hx, ht = grid.hx, grid.ht
+    samples = scenario.samples
+    speeds = samples.speeds
+
+    def steps(arr):
+        return np.broadcast_to(arr, (nt,) + arr.shape[1:])
+
+    rows = len(speeds)
+    iface = steps(np.maximum(speeds[:, :-1], speeds[:, 1:])[..., None])
+    a_r, a_l = iface[:, 1:], iface[:, :-1]
+    h1 = steps(samples.h1)[:, 1:-1]
+    inv_h0 = steps(np.linalg.inv(samples.h0))[:, 1:-1]
+    p = None if samples.p is None else steps(samples.p)[:, 1:-1]
+    flux = samples.flux[:, :rows]
+    h0b = np.broadcast_to(np.stack([samples.h0[:, 0], samples.h0[:, -1]]),
+                          flux.shape)
+    p_out, p_in = (np.broadcast_to(pr, (2, nt, n, n))
+                   for pr in _closure_projectors(flux, h0b))
+    entering = (p_in @ _inflow_data(inflow, grid.t, n)[..., None])[..., 0]
+
+    u = np.empty((nt, nx, n))
+    u[0] = _normalize_initial(initial, grid, n)
+    lam_c = ht / (2.0 * hx)
+    for step in range(nt - 1):
+        un = u[step]
+        rhs = np.einsum("iab,ib->ia", h1[step], un[2:] - un[:-2]) / (2 * hx)
+        if p is not None:
+            rhs = rhs + np.einsum("iab,ib->ia", p[step], un[1:-1])
+        if scenario.source is not None:
+            rhs = rhs - scenario.source(
+                grid.x, np.asarray(float(grid.t[step])))[1:-1]
+        upd = un[1:-1] - ht * np.einsum("iab,ib->ia", inv_h0[step], rhs)
+        upd = upd + lam_c * (a_r[step] * (un[2:] - un[1:-1])
+                             - a_l[step] * (un[1:-1] - un[:-2]))
+        u[step + 1, 1:-1] = upd
+        un1 = u[step + 1]
+        for k, (ib, i1, i2) in enumerate(((0, 1, 2), (-1, -2, -3))):
+            un1[ib] = (p_out[k, step + 1] @ (2.0 * un1[i1] - un1[i2])
+                       + entering[k, step + 1])
+    return u
+
+
+def _pulsing_speed(x, t):
+    """Scalar speed 1 + 0.5 sin 4t on every node."""
+    return (1.0 + 0.5 * np.sin(4.0 * t) + 0.0 * x)[..., None, None]
+
+
+def _wobbling_flux(x, t):
+    """coupled-varying's flux plus 0.5 sin(4t) I: a 2x2 h1 that moves in t."""
+    x, t = np.broadcast_arrays(x, t)
+    out = np.zeros(x.shape + (2, 2))
+    out[..., 0, 0] = 2.0 + x + 0.5 * np.sin(4.0 * t)
+    out[..., 1, 1] = 2.0 + 0.5 * np.sin(4.0 * t)
+    out[..., 0, 1] = out[..., 1, 0] = 1.0
+    return out
+
+
+def _marched_cases():
+    """(scenario, initial data, inflow) for every branch of the step."""
+    cases = {}
+    for name in ("transport", "coupled-spd", "coupled-varying", "wave-type"):
+        sc = build_scenario(name, nx=41, t_final=1.0)
+        cases[name] = (sc, fields.random_initial_profile(sc.grid, sc.n_comp,
+                                                         seed=4), None)
+    pulsing = replace(
+        transport_scenario(41, 0.5),
+        h1=SymMatrixField(1, _pulsing_speed, time_independent=False),
+        grid=SpaceTimeGrid(0.0, 1.0, 0.5, 41, 3 * 40 // 2 + 1))
+    cases["pulsing"] = (pulsing, lambda x: np.sin(np.pi * x),
+                        {"x_lo": lambda t: -np.sin(np.pi * t)})
+    switch = test_functionals.TestBoundaryClassSwitch.scenario().with_grid(
+        SpaceTimeGrid(0.0, 1.0, 2.0, 41, 161))
+    cases["switch"] = (switch, fields.random_initial_profile(
+        switch.grid, 2, seed=5), {"x_lo": lambda t: [0.1 * t, -0.2 * t],
+                                  "x_hi": lambda t: [np.sin(t), 0.3]})
+    varying = build_scenario("coupled-varying", nx=41, t_final=1.0)
+    forced = replace(
+        varying,
+        p=MatrixField.constant([[0.3, -0.2], [0.1, 0.4]]),
+        source=VectorField(2, lambda x, t: np.stack(
+            [np.sin(np.pi * x) * np.cos(t), x * t + 0.0 * x], axis=-1)))
+    cases["source-inflow"] = (forced, fields.random_initial_profile(
+        forced.grid, 2, seed=6), {"x_lo": lambda t: [np.sin(t), 0.5 * t]})
+    wobbling = replace(
+        varying, h1=SymMatrixField(2, _wobbling_flux, time_independent=False),
+        grid=SpaceTimeGrid(0.0, 1.0, 1.0, 41, 401))
+    cases["wobbling"] = (wobbling, fields.random_initial_profile(
+        wobbling.grid, 2, seed=7), None)
+    return cases
+
+
+MARCHED = _marched_cases()
+
+
+class TestBandedStep:
+    @pytest.mark.parametrize("name", sorted(MARCHED))
+    def test_matches_einsum_step_loop(self, name):
+        sc, u0, inflow = MARCHED[name]
+        res = solve(sc, u0, inflow=inflow)
+        ref = _einsum_march(sc, u0, inflow)
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0
+        assert np.max(np.abs(res.u.values - ref)) <= 1e-13 * scale
+        assert np.array_equal(res.traces[0], res.u.values[:, 0, :])
+        assert np.array_equal(res.traces[1], res.u.values[:, -1, :])
+
+    def test_time_dependent_march_holds_no_stencil_over_time(self):
+        # wobbling h1 on 1701 time rows: a stencil of every row would be
+        # (4n - 1) = 7 times the solution, the blocked one about a tenth
+        sc = replace(MARCHED["wobbling"][0],
+                     grid=SpaceTimeGrid(0.0, 1.0, 2.0, 101, 1701))
+        u0 = fields.random_initial_profile(sc.grid, 2, seed=8)
+        solve(sc, u0)  # fill the sample set and its node speeds
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve(sc, u0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * res.u.values.nbytes, (peak, res.u.values.nbytes)
 
 
 class TestClosureProjectors:
