@@ -5,7 +5,8 @@ functionals) consumes the types defined here.  Fields are closures evaluated
 on uniform tensor-product space-time grids; matrix fields carry the system
 size and an optional symmetry contract that is enforced at sampling time.
 Each scenario samples its coefficients once per grid (`Scenario.samples`);
-that sample set also owns the node speeds the time stepper reads.
+that sample set also owns the node speeds and the boundary closure
+projectors the time stepper reads.
 
 Only one spatial dimension is implemented, but every type carries enough
 structure (normals, node indexing, component counts) that a rectangle
@@ -41,6 +42,9 @@ NORMALS = {"x_lo": -1.0, "x_hi": 1.0}
 #: strictness tolerance for the boundary partition: PLUS needs
 #: lambda_min > STRICT_TOL, MINUS needs lambda_max <= STRICT_TOL
 STRICT_TOL = 1e-12
+
+#: characteristics with |speed| below this are treated as non-propagating
+SPEED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -360,6 +364,27 @@ def _char_speeds(h0m: np.ndarray, h1m: np.ndarray,
     return np.abs(np.linalg.eigvalsh(_whiten(linv, h1m))).max(axis=-1)
 
 
+def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
+    """Characteristic closure at boundary nodes as (P_out, P_in).
+
+    flux and h0b are stacks of (n, n) matrices over matching leading axes;
+    the projectors have the same shape.  With the generalized eigenbasis V
+    of (flux, h0b), V.T @ h0b @ V = I, taken as V = L^-T W from the
+    eigenvectors W of the whitened pencil, the closed boundary state is
+    u_b = P_out @ extrap + P_in @ g: outgoing and non-propagating
+    characteristics keep the extrapolated state, incoming ones take the
+    inflow data g.  P_in is zero where nothing enters.
+    """
+    linv = _inverse_factor(h0b)
+    lam, w = np.linalg.eigh(_whiten(linv, flux))
+    vecs = np.swapaxes(linv, -1, -2) @ w
+    incoming = (lam < -SPEED_TOL)[..., None, :]
+    v_out = np.where(incoming, 0.0, vecs)
+    v_in = np.where(incoming, vecs, 0.0)
+    return (v_out @ (np.swapaxes(v_out, -1, -2) @ h0b),
+            v_in @ (np.swapaxes(v_in, -1, -2) @ h0b))
+
+
 def boundary_classes(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(PLUS, MINUS) masks of normal flux matrices nu * h1: positive definite
     and negative semidefinite to STRICT_TOL; the rest is NEITHER."""
@@ -407,8 +432,9 @@ class GridSamples:
     for a time-independent field; p is None when the scenario has none.
     flux is nu * h1 at x_lo and x_hi for every time node, (2, nt, n, n) in
     SIDES order, and plus / minus are its boundary classes, (2, nt).  speeds
-    holds the node speeds of the marcher, built on first use.  Every caller
-    shares these arrays, so they are read-only.
+    holds the node speeds of the marcher and closure its boundary
+    projectors, each built on first use.  Every caller shares these arrays,
+    so they are read-only.
     """
 
     def __init__(self, scenario: Scenario):
@@ -452,6 +478,21 @@ class GridSamples:
                 h1 if len(h1) == 1 else h1[k:k + block], linv)
         speeds.flags.writeable = False
         return speeds
+
+    @cached_property
+    def closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """The marcher's characteristic closure (P_out, P_in) at x_lo and
+        x_hi, each (2, rows, n, n) in SIDES order with rows as for speeds.
+
+        Reads speeds first, so h0 is checked positive definite.
+        """
+        flux = self.flux[:, :len(self.speeds)]
+        h0b = np.broadcast_to(np.stack([self.h0[:, 0], self.h0[:, -1]]),
+                              flux.shape)
+        projectors = _closure_projectors(flux, h0b)
+        for arr in projectors:
+            arr.flags.writeable = False
+        return projectors
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,10 @@ class EnergyLedger:
 def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
     """Assemble the energy balance for a solution sample.
 
-    Accepts a SolveResult or a bare GridFunction.
+    Accepts a SolveResult or a bare GridFunction.  The energy of every time
+    row is one pass over the samples, with the trapezoid rule in x as a
+    weight vector, so no temporary of the solution's size exists in any
+    memory layout.
     """
     if isinstance(u, SolveResult):
         u = u.u
@@ -178,7 +181,9 @@ def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
     grid = scenario.grid
     t = grid.t
 
-    energy = trapezoid(np.sum(u.values ** 2, axis=-1), dx=grid.hx)
+    wx = np.full(grid.nx, grid.hx)
+    wx[[0, -1]] *= 0.5
+    energy = np.einsum("txc,x,txc->t", u.values, wx, u.values)
 
     ub = np.stack([u.values[:, 0], u.values[:, -1]])
     flux = _quad_form(samples.flux, ub)

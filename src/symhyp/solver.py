@@ -7,11 +7,14 @@ take the prescribed inflow data, outgoing ones are linearly extrapolated from
 the two adjacent interior nodes.  First order, dissipative, and stable under
 the usual Courant restriction on the fastest characteristic.
 
-The scheme is linear, so `solve` builds it before the first step: the
-interior update as a three-point block stencil stored as flat bands over
-the flat state of a time row (`_interior_bands`), and the closure folded
-into one (n, 2n) map per boundary node of its two neighbours.  A step is
-then one banded product and two small matrix products.
+The scheme is linear, so `solve` builds it before the first step as one
+linear map from a time row to the next: the interior update as a
+three-point block stencil (`_interior_bands`), with the closure composed
+into the bands of the boundary nodes (`_close_bands`).  Every node's band
+reads the seven nodes around it.  A step is then one banded product over
+zero-copy windows of the previous row, written straight into the next one;
+the march buffer keeps zeros between time rows, so no window overlaps the
+row being written.
 
 The target inequalities quantify over solutions without any boundary
 condition; a discrete marcher must impose some inflow closure, so solutions
@@ -31,22 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CflViolationError, GridMismatchError
+from .errors import CflViolationError, GridError, GridMismatchError
 from .fields import (
     SIDES,
     GridFunction,
     Scenario,
     SpaceTimeGrid,
-    _inverse_factor,
-    _whiten,
     central_derivative,
     check_same_grid,
 )
 
 CFL_DEFAULT = 0.5
-
-#: characteristics with |speed| below this are treated as non-propagating
-SPEED_TOL = 1e-12
 
 #: time rows banded at once when a coefficient depends on t; bounds the
 #: stencil's memory to this many rows
@@ -104,27 +102,6 @@ def auto_time_nodes(scenario: Scenario,
             grid.x_lo, grid.x_hi, grid.t_final, grid.nx, need))
 
 
-def _closure_projectors(flux: np.ndarray, h0b: np.ndarray):
-    """Characteristic closure at boundary nodes as (P_out, P_in).
-
-    flux and h0b are stacks of (n, n) matrices over matching leading axes;
-    the projectors have the same shape.  With the generalized eigenbasis V
-    of (flux, h0b), V.T @ h0b @ V = I, taken as V = L^-T W from the
-    eigenvectors W of the whitened pencil, the closed boundary state is
-    u_b = P_out @ extrap + P_in @ g: outgoing and non-propagating
-    characteristics keep the extrapolated state, incoming ones take the
-    inflow data g.  P_in is zero where nothing enters.
-    """
-    linv = _inverse_factor(h0b)
-    lam, w = np.linalg.eigh(_whiten(linv, flux))
-    vecs = np.swapaxes(linv, -1, -2) @ w
-    incoming = (lam < -SPEED_TOL)[..., None, :]
-    v_out = np.where(incoming, 0.0, vecs)
-    v_in = np.where(incoming, vecs, 0.0)
-    return (v_out @ (np.swapaxes(v_out, -1, -2) @ h0b),
-            v_in @ (np.swapaxes(v_in, -1, -2) @ h0b))
-
-
 def _normalize_initial(initial, grid: SpaceTimeGrid, n_comp: int) -> np.ndarray:
     if callable(initial):
         initial = initial(grid.x)
@@ -150,42 +127,70 @@ def _inflow_data(inflow, t: np.ndarray, n_comp: int) -> np.ndarray:
 
 
 def _interior_bands(samples, start: int, stop: int, lam_c: float,
-                    ht: float) -> np.ndarray:
-    """The interior step of time rows start..stop-1 as flat bands.
+                    ht: float, out: np.ndarray) -> np.ndarray:
+    """The interior step of time rows start..stop-1 as bands, into out.
 
     One step is u_i <- L_i u_{i-1} + D_i u_i + R_i u_{i+1} at every interior
     node i, with A = inv(h0) h1, lam_c = ht / (2 hx) and the Rusanov speeds
     a_l, a_r of the node's two interfaces:
     L = lam_c (A + a_l I), D = I - lam_c (a_r + a_l) I - ht inv(h0) p and
-    R = lam_c (a_r I - A).  Output (i, c) of the flat state, r = i n + c,
-    reads the flat window [r - 2n + 1, r + 2n), so its band row holds
-    [L_c | D_c | R_c] at offset n - 1 - c of a zero row of width 4n - 1,
-    and every diagonal entry falls in column n - 1, 2n - 1 or 3n - 1.
-    A time-independent sample contributes its one row; the result has
-    shape (rows, (nx - 2) n, 4n - 1) with rows 1 when nothing depends on t.
+    R = lam_c (a_r I - A).  Every output (i, c) reads the flat state of
+    nodes i - 3 .. i + 3 of the previous row, wide enough for a boundary
+    output to reach the fourth node in (see `_close_bands`), so the band of
+    node i is (n, 7n) and holds [L | D | R] in columns 2n .. 5n - 1.  The
+    boundary nodes' bands are left as they are.  out is (rows, nx, n, 7n)
+    and every entry this writes is written for every block, so one zeroed
+    buffer serves a whole march.  A time-independent sample contributes its
+    one row; the result is out[:rows] with rows 1 when nothing depends on t.
     """
     def rows(arr):
         return arr if len(arr) == 1 else arr[start:stop]
 
     inv_h0 = np.linalg.inv(rows(samples.h0)[:, 1:-1])
     coef = lam_c * (inv_h0 @ rows(samples.h1)[:, 1:-1])
-    if samples.p is not None:
-        low = ht * (inv_h0 @ rows(samples.p)[:, 1:-1])
+    low = None if samples.p is None else \
+        ht * (inv_h0 @ rows(samples.p)[:, 1:-1])
     face = rows(samples.speeds)
     face = lam_c * np.maximum(face[:, :-1], face[:, 1:])
-    lead = max(len(coef), len(face), 0 if samples.p is None else len(low))
+    a_l, a_r = face[:, :-1], face[:, 1:]
+    mid = 1.0 - (a_r + a_l)
+    lead = max(len(coef), len(face), 0 if low is None else len(low))
     n = coef.shape[-1]
-    band = np.zeros((lead,) + coef.shape[1:-1] + (4 * n - 1,))
+    band = out[:lead]
+    inner = band[:, 1:-1]
+    # one band column at a time: each write runs along every node and row
     for c in range(n):
-        band[..., c, n - 1 - c:2 * n - 1 - c] = coef[..., c, :]
-        band[..., c, 3 * n - 1 - c:4 * n - 1 - c] = -coef[..., c, :]
-        if samples.p is not None:
-            band[..., c, 2 * n - 1 - c:3 * n - 1 - c] = -low[..., c, :]
-    a_l, a_r = face[:, :-1, None], face[:, 1:, None]
-    band[..., n - 1] += a_l
-    band[..., 2 * n - 1] += 1.0 - (a_r + a_l)
-    band[..., 3 * n - 1] += a_r
-    return band.reshape(len(band), -1, 4 * n - 1)
+        for k in range(n):
+            inner[..., c, 2 * n + k] = coef[..., c, k]
+            inner[..., c, 4 * n + k] = -coef[..., c, k]
+            if low is not None:
+                inner[..., c, 3 * n + k] = -low[..., c, k]
+        inner[..., c, 2 * n + c] += a_l
+        inner[..., c, 3 * n + c] = mid if low is None else mid - low[..., c, c]
+        inner[..., c, 4 * n + c] += a_r
+    return band
+
+
+def _close_bands(bands: np.ndarray, fold: np.ndarray) -> None:
+    """Write the boundary nodes' bands, the closure composed with the step.
+
+    The closure sets u_b = F (u_1, u_2) at x_lo and u_b = F (u_-3, u_-2) at
+    x_hi from the new values of the two adjacent interior nodes; fold holds
+    F = P_out [2I, -I] and P_out [-I, 2I], (2, rows, n, 2n).  Those nodes'
+    bands are maps of the previous row's four nodes nearest the boundary,
+    so one batched matmul of F with them gives each boundary node's band
+    over the same four nodes: columns 3n .. 7n - 1 at x_lo and 0 .. 4n - 1
+    at x_hi.  bands is (rows, nx, n, 7n), as from `_interior_bands`.
+    """
+    n = fold.shape[-2]
+    near = np.stack([
+        np.concatenate([bands[:, 1, :, 2 * n:6 * n],
+                        bands[:, 2, :, n:5 * n]], axis=1),
+        np.concatenate([bands[:, -3, :, 2 * n:6 * n],
+                        bands[:, -2, :, n:5 * n]], axis=1)])
+    closed = fold @ near
+    bands[:, 0, :, 3 * n:] = closed[0]
+    bands[:, -1, :, :4 * n] = closed[1]
 
 
 def solve(scenario: Scenario, initial, inflow: dict | None = None,
@@ -198,25 +203,31 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     each is evaluated at every time node before the march, and missing
     sides default to zero data.
 
-    The coefficients and the node speeds are the scenario's sample set,
-    shared by every call on the same scenario.  Before the first step it
-    refuses a grid where h0 fails to be positive definite at any node, then
-    one whose time step violates the Courant bound at the fastest node of
-    any time row.
+    The coefficients, the node speeds and the closure projectors are the
+    scenario's sample set, shared by every call on the same scenario.
+    Before the first step it refuses a grid of fewer than four space nodes
+    (the closure extrapolates from two interior nodes per side), one where
+    h0 fails to be positive definite at any node, then one whose time step
+    violates the Courant bound at the fastest node of any time row.
 
     Each step is one banded product over the flat state of the previous
-    time row (see `_interior_bands`), then the closure at the two boundary
-    nodes as one (n, 2n) map each of the two adjacent nodes, plus the
-    entering inflow data and ht inv(h0) source where they exist.  Static
-    coefficients give one band row for the whole march; time-dependent
-    ones are banded BAND_ROWS time rows at a time, so no stencil over all
-    time rows is ever held.
+    time row: the interior stencil of `_interior_bands` with the closure
+    composed into the boundary rows by `_close_bands`, so the new row,
+    boundary nodes included, is one linear map of the old one.  The
+    entering inflow data and ht inv(h0) source are added where they exist,
+    the source's share of nodes 1, 2 and -3, -2 through the same closure
+    map.  Static coefficients give one band row for the whole march;
+    time-dependent ones are banded BAND_ROWS time rows at a time, so no
+    stencil over all time rows is ever held.
     """
     grid = scenario.grid
     n = scenario.n_comp
     nx, nt = grid.nx, grid.nt
     hx, ht = grid.hx, grid.ht
     samples = scenario.samples
+    if nx < 4:
+        raise GridError(f"the boundary closure extrapolates from two interior "
+                        f"nodes per side: need nx >= 4 (got {nx})")
 
     speeds = samples.speeds
     fast = np.unravel_index(int(np.argmax(speeds)), speeds.shape)
@@ -231,18 +242,12 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
 
     # 1 unless a coefficient depends on t
     rows = max(len(speeds), 1 if samples.p is None else len(samples.p))
-    # the boundary flux has one distinct row when h0 and h1 have one
-    flux = samples.flux[:, :len(speeds)]
-    h0b = np.broadcast_to(np.stack([samples.h0[:, 0], samples.h0[:, -1]]),
-                          flux.shape)
-    p_out, p_in = _closure_projectors(flux, h0b)
+    p_out, p_in = samples.closure
     # u_b = P_out (2 u_1 - u_2) at x_lo and P_out (2 u_-2 - u_-3) at x_hi,
     # as maps of the two adjacent nodes' flat state
     eye = np.eye(n)
-    closure = np.broadcast_to(
-        np.stack([p_out[0] @ np.hstack([2.0 * eye, -eye]),
-                  p_out[1] @ np.hstack([-eye, 2.0 * eye])]),
-        (2, nt, n, 2 * n))
+    fold = p_out @ np.stack([np.hstack([2.0 * eye, -eye]),
+                             np.hstack([-eye, 2.0 * eye])])[:, None]
     # incoming part of the inflow data, (2, nt, n)
     entering = None if inflow is None else \
         (p_in @ _inflow_data(inflow, grid.t, n)[..., None])[..., 0]
@@ -250,42 +255,43 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
         np.broadcast_to(np.linalg.inv(samples.h0[:, 1:-1]),
                         (nt, nx - 2, n, n))
 
-    # the march lives in one flat buffer with n - 1 zeros on either side:
-    # a window of width 4n - 1 around an interior output of row k reaches
-    # n - 1 values into row k - 1 (or the front zeros) and into the
-    # boundary node of row k + 1 (zero until closed), all under zero band
-    # entries, so every window is a zero-copy view of the buffer
-    width, size, inner = 4 * n - 1, nx * n, (nx - 2) * n
-    buf = np.zeros(nt * size + 2 * (n - 1))
-    u = buf[n - 1:n - 1 + nt * size].reshape(nt, nx, n)
+    # the march lives in one flat buffer with 3n zeros before every time
+    # row and after the last: the nodes i - 3 .. i + 3 that output node i of
+    # row k + 1 reads lie in row k and the zeros on either side of it, so
+    # no step reads memory it writes, and every window and every row is a
+    # zero-copy view of the buffer
+    size, stride, width = nx * n, (nx + 3) * n, 7 * n
+    buf = np.zeros(3 * n + nt * stride)
+    u = buf[3 * n:].reshape(nt, stride)[:, :size].reshape(nt, nx, n)
     u[0] = _normalize_initial(initial, grid, n)
-    flat = u.reshape(nt, size)
-    windows = sliding_window_view(buf, width)
+    reads = sliding_window_view(buf, width)[:(nt - 1) * stride] \
+        .reshape(nt - 1, stride, width)[:, :size:n]
+    ends = u[:, ::nx - 1]  # both boundary nodes of every time row
     lam_c = ht / (2.0 * hx)
     tgrid = grid.t
 
     block = BAND_ROWS if rows > 1 else nt - 1
+    space = np.zeros((1 if rows == 1 else min(block, nt - 1), nx, n, width))
     for start in range(0, nt - 1, block):
         stop = min(start + block, nt - 1)
-        bands = np.broadcast_to(
-            _interior_bands(samples, start, stop, lam_c, ht),
-            (stop - start, inner, width))
+        bands = _interior_bands(samples, start, stop, lam_c, ht, space)
+        # the closure at the new time of each step
+        _close_bands(bands, fold if fold.shape[1] == 1
+                     else fold[:, start + 1:stop + 1])
+        bands = np.broadcast_to(bands, (stop - start, nx, n, width))
         for step in range(start, stop):
-            new = u[step + 1]
-            interior = flat[step + 1, n:n + inner]
-            np.einsum("rk,rk->r", bands[step - start],
-                      windows[step * size:step * size + inner], out=interior)
+            np.einsum("icq,iq->ic", bands[step - start], reads[step],
+                      out=u[step + 1])
             if inv_h0 is not None:
-                force = scenario.source(grid.x, np.asarray(tgrid[step]))
-                interior += ht * np.einsum("iab,ib->ia", inv_h0[step],
-                                           force[1:-1]).ravel()
-            # characteristic closure at both boundary nodes, at the new time
-            np.dot(closure[0, step + 1], flat[step + 1, n:3 * n], out=new[0])
-            np.dot(closure[1, step + 1], flat[step + 1, -3 * n:-n],
-                   out=new[-1])
+                force = ht * np.einsum(
+                    "iab,ib->ia", inv_h0[step],
+                    scenario.source(grid.x, np.asarray(tgrid[step]))[1:-1])
+                u[step + 1, 1:-1] += force
+                near = np.stack([force[:2].ravel(), force[-2:].ravel()])
+                ends[step + 1] += (fold[:, min(step + 1, fold.shape[1] - 1)]
+                                   @ near[..., None])[..., 0]
             if entering is not None:
-                new[0] += entering[0, step + 1]
-                new[-1] += entering[1, step + 1]
+                ends[step + 1] += entering[:, step + 1]
 
     traces = np.stack([u[:, 0, :], u[:, -1, :]])
     return SolveResult(u=GridFunction(grid, u), traces=traces,

@@ -1,6 +1,7 @@
 """Weighted functionals: double-entry quadrature oracle, signs, defects."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,21 @@ from symhyp import (
     solve,
 )
 
-from symhyp.functionals import cumulative_trapezoid, trapezoid
+from symhyp.fields import check_same_grid
+from symhyp.functionals import (
+    EnergyLedger,
+    _quad_form,
+    cumulative_trapezoid,
+    trapezoid,
+)
 
-from conftest import midpoint_2d, midpoint_t, midpoint_x, scalar_scenario
+from conftest import (
+    midpoint_2d,
+    midpoint_t,
+    midpoint_x,
+    scalar_scenario,
+    system_scenario,
+)
 
 
 class TestCarlemanTermsBasics:
@@ -266,6 +279,83 @@ class TestEnergyLedger:
                                            [lambda x, t: 1.0 + 0 * x * t])
         ledger = energy_ledger(one, sc)
         assert np.allclose(ledger.energy, 1.0, atol=1e-13)
+
+    @staticmethod
+    def former(u, scenario):
+        """The ledger before its one-pass energy, as the oracle: square the
+        solution, sum the components, then the trapezoid rule in x."""
+        if isinstance(u, SolveResult):
+            u = u.u
+        check_same_grid(u, scenario)
+        samples = scenario.samples
+        grid = scenario.grid
+        t = grid.t
+        energy = trapezoid(np.sum(u.values ** 2, axis=-1), dx=grid.hx)
+        ub = np.stack([u.values[:, 0], u.values[:, -1]])
+        flux = _quad_form(samples.flux, ub)
+        outflow = np.sum(np.where(samples.plus, flux, 0.0), axis=0)
+        rest = np.sum(np.where(samples.plus, 0.0, np.sum(ub ** 2, axis=-1)),
+                      axis=0)
+        return EnergyLedger(
+            times=t, energy=energy,
+            lemma_lhs=energy + cumulative_trapezoid(outflow, t),
+            rhs_core=float(energy[0] + trapezoid(rest, t)))
+
+    @staticmethod
+    def sample(kind):
+        """(scenario, solution) of each layout and system size."""
+        if kind in ("solve", "n1"):
+            name = "coupled-varying" if kind == "solve" else "transport"
+            sc = build_scenario(name, nx=41, t_final=1.0)
+            x = sc.grid.x[:, None]
+            return sc, solve(sc, np.sin(np.pi * x * np.arange(
+                1, sc.n_comp + 1)))
+        if kind == "component-major":
+            sc = build_scenario("coupled-varying", nx=41, t_final=1.0)
+            return sc, random_smooth_gridfunction(sc.grid, 2, seed=9)
+        if kind == "n3":
+            sc = system_scenario(np.diag([2.0, 1.0, 1.5]),
+                                 [[1.0, 0.5, 0.0], [0.5, -1.0, 0.3],
+                                  [0.0, 0.3, 0.4]], nx=41, nt=81)
+            return sc, random_smooth_gridfunction(sc.grid, 3, seed=10)
+        sc = build_scenario("coupled-spd", nx=41, t_final=1.0)
+        return sc, GridFunction.zeros(sc.grid, 2)
+
+    @pytest.mark.parametrize("kind", ["solve", "component-major", "n1", "n3",
+                                      "zero"])
+    def test_matches_former_formula(self, kind):
+        sc, u = self.sample(kind)
+        values = (u.u if isinstance(u, SolveResult) else u).values
+        if kind == "component-major":
+            assert values.strides[0] < values.strides[1] < values.strides[2]
+        ledger, ref = energy_ledger(u, sc), self.former(u, sc)
+        scale = float(np.max(ref.lemma_lhs))
+        for got, want in ((ledger.energy, ref.energy),
+                          (ledger.lemma_lhs, ref.lemma_lhs)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        if kind == "zero":
+            assert ledger.rhs_core == ref.rhs_core == 0.0
+            assert math.isnan(ledger.max_ratio) and math.isnan(ref.max_ratio)
+        else:
+            assert ledger.rhs_core == pytest.approx(ref.rhs_core, rel=1e-14)
+            assert ledger.max_ratio == pytest.approx(ref.max_ratio, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["solve", "component-major"])
+    def test_energy_holds_no_copy_of_the_solution(self, kind):
+        sc = build_scenario("coupled-varying", nx=101, t_final=1.0)
+        if kind == "solve":
+            u = solve(sc, np.sin(np.pi * sc.grid.x[:, None] * [1.0, 2.0])).u
+        else:
+            u = random_smooth_gridfunction(sc.grid, 2, seed=11)
+        energy_ledger(u, sc)  # fill the sample set's boundary data
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            energy_ledger(u, sc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * u.values.nbytes, (peak, u.values.nbytes)
 
 
 class TestBoundaryClassSwitch:

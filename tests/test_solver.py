@@ -18,6 +18,7 @@ from symhyp import (
     AsymmetricFieldError,
     CflViolationError,
     FieldEvaluationError,
+    GridError,
     GridFunction,
     MatrixField,
     SingularCoefficientError,
@@ -37,12 +38,8 @@ from symhyp import (
 )
 from symhyp import fields
 from symhyp.catalog import CatalogEntry
-from symhyp.solver import (
-    SPEED_TOL,
-    _closure_projectors,
-    _inflow_data,
-    _normalize_initial,
-)
+from symhyp.fields import SPEED_TOL, _closure_projectors
+from symhyp.solver import _inflow_data, _normalize_initial
 
 import test_functionals
 from conftest import scalar_scenario, system_scenario
@@ -353,6 +350,23 @@ def _marched_cases():
         grid=SpaceTimeGrid(0.0, 1.0, 1.0, 41, 401))
     cases["wobbling"] = (wobbling, fields.random_initial_profile(
         wobbling.grid, 2, seed=7), None)
+    # n = 3, static, x-dependent h0 and h1 with speeds of both signs: every
+    # band offset of a 3-component node, and a characteristic entering at
+    # each end
+    mixed = Scenario(
+        name="mixed-3", grid=SpaceTimeGrid(0.0, 1.0, 1.0, 41, 2), n_comp=3,
+        h0=SymMatrixField.affine([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2],
+                                  [0.0, 0.2, 1.0]], 0.5 * np.eye(3)),
+        h1=SymMatrixField.affine([[1.0, 0.5, 0.0], [0.5, -1.0, 0.3],
+                                  [0.0, 0.3, 0.4]], np.diag([0.2, 0.0, -0.1])),
+        p=MatrixField.constant([[0.2, -0.1, 0.0], [0.3, 0.1, 0.0],
+                                [0.0, 0.2, -0.1]]),
+        eta=SpatialWeight.linear(1.0), beta=0.5)
+    mixed = mixed.with_grid(SpaceTimeGrid(0.0, 1.0, 1.0, 41,
+                                          admissible_time_nodes(mixed)))
+    cases["mixed-3"] = (mixed, fields.random_initial_profile(
+        mixed.grid, 3, seed=8), {"x_lo": lambda t: [np.sin(t), 0.2, -0.1 * t],
+                                 "x_hi": lambda t: [0.3 * t, np.cos(t), 0.1]})
     return cases
 
 
@@ -370,6 +384,41 @@ class TestBandedStep:
         assert np.max(np.abs(res.u.values - ref)) <= 1e-13 * scale
         assert np.array_equal(res.traces[0], res.u.values[:, 0, :])
         assert np.array_equal(res.traces[1], res.u.values[:, -1, :])
+
+    def test_mixed_speeds_enter_at_both_ends(self):
+        sc = MARCHED["mixed-3"][0]
+        speeds = np.linalg.eigvals(np.linalg.solve(sc.samples.h0[0],
+                                                   sc.samples.h1[0]))
+        assert np.all(np.any(speeds.real < 0, axis=-1))
+        assert np.all(np.any(speeds.real > 0, axis=-1))
+        p_in = sc.samples.closure[1]
+        assert np.all(np.any(p_in != 0.0, axis=(-2, -1)))
+
+    def test_closure_projectors_built_once_per_scenario(self, monkeypatch):
+        # wobbling h1: one closure per time node at each end, whitened with
+        # the node speeds in the first solve and never again
+        sc = replace(MARCHED["wobbling"][0], name="wobbling-again")
+        u0 = MARCHED["wobbling"][1]
+        whitened = []
+        whiten = fields._whiten
+
+        def counting(linv, h1m):
+            whitened.append(int(np.prod(h1m.shape[:-2])))
+            return whiten(linv, h1m)
+
+        monkeypatch.setattr(fields, "_whiten", counting)
+        first = solve(sc, u0)
+        grid = sc.grid
+        assert sum(whitened) == grid.nt * grid.nx + 2 * grid.nt
+        second = solve(sc, u0)
+        assert sum(whitened) == grid.nt * grid.nx + 2 * grid.nt
+        assert np.array_equal(first.u.values, second.u.values)
+        assert not sc.samples.closure[0].flags.writeable
+
+    def test_too_few_nodes_for_the_closure_refused(self):
+        sc = scalar_scenario(nx=3, nt=11)
+        with pytest.raises(GridError, match="need nx >= 4"):
+            solve(sc, np.zeros((3, 1)))
 
     def test_time_dependent_march_holds_no_stencil_over_time(self):
         # wobbling h1 on 1701 time rows: a stencil of every row would be
