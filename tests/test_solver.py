@@ -422,7 +422,7 @@ class TestBandedStep:
 
     def test_time_dependent_march_holds_no_stencil_over_time(self):
         # wobbling h1 on 1701 time rows: a stencil of every row would be
-        # (4n - 1) = 7 times the solution, the blocked one about a tenth
+        # 7n = 14 times the solution, the blocked one about half of it
         sc = replace(MARCHED["wobbling"][0],
                      grid=SpaceTimeGrid(0.0, 1.0, 2.0, 101, 1701))
         u0 = fields.random_initial_profile(sc.grid, 2, seed=8)
