@@ -33,6 +33,7 @@ from .fields import (
     GridFunction,
     MatrixField,
     Scenario,
+    SeparableGridFunction,
     SpaceTimeGrid,
     SpatialWeight,
     SymMatrixField,
@@ -43,6 +44,7 @@ from .fields import (
     min_max_eigenvalues,
     random_initial_profile,
     random_smooth_gridfunction,
+    random_smooth_separable,
     sample_field,
     symmetry_defect,
 )

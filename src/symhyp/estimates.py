@@ -22,9 +22,10 @@ import numpy as np
 from .fields import (
     GridFunction,
     Scenario,
+    SeparableGridFunction,
     bump_profile,
     random_initial_profile,
-    random_smooth_gridfunction,
+    random_smooth_separable,
 )
 from .functionals import (
     CarlemanTerms,
@@ -117,36 +118,47 @@ def _usable_max(values) -> float:
 
 def _two_grids(scenario: Scenario, members, ensemble: int, make_member,
                run_pass, constant, refine: bool):
-    """(members, coarse, fine, drift) of a pass and its refined rerun.
+    """(member count, coarse, fine, drift) of a pass and its refined rerun.
 
     run_pass(scenario, members) runs on the scenario grid; when `members`
-    is None they are make_member(grid, i) for i < ensemble.  With `refine`,
-    generated members are resampled on the node-doubled grid and the pass
-    rerun there; drift is the relative change of constant(pass), None when
-    the coarse constant is 0 or not finite.  Explicit members cannot be
-    resampled, so they are never refined.
+    is None they are make_member(grid, i) for i < ensemble, made one at a
+    time as the pass reaches them, so a pass holds one generated member at
+    once.  With `refine`, generated members are resampled on the
+    node-doubled grid and the pass rerun there; drift is the relative
+    change of constant(pass), None when the coarse constant is 0 or not
+    finite.  Explicit members cannot be resampled, so they are never
+    refined.
     """
-    generated = members is None
-    if generated:
-        members = [make_member(scenario.grid, i) for i in range(ensemble)]
-    coarse = run_pass(scenario, members)
-    if not (refine and generated):
-        return members, coarse, None, None
+    def generate(grid):
+        return (make_member(grid, i) for i in range(ensemble))
+
+    if members is not None:
+        return len(members), run_pass(scenario, members), None, None
+    coarse = run_pass(scenario, generate(scenario.grid))
+    if not refine:
+        return ensemble, coarse, None, None
     fine_scenario = scenario.with_grid(scenario.grid.refined())
-    fine = run_pass(fine_scenario, [make_member(fine_scenario.grid, i)
-                                    for i in range(len(members))])
+    fine = run_pass(fine_scenario, generate(fine_scenario.grid))
     c0 = constant(coarse)
     drift = (abs(constant(fine) - c0) / abs(c0)
              if math.isfinite(c0) and c0 != 0.0 else None)
-    return members, coarse, fine, drift
+    return ensemble, coarse, fine, drift
 
 
 def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
-               members: list[GridFunction]) -> ScanPass:
+               members) -> ScanPass:
+    """One (member x s) sweep: one `residual` per member, one
+    `carleman_terms` per (member, s).
+
+    Members are dense or separable grid functions.  A separable member on
+    time-independent coefficients keeps a separable source, so the sweep
+    forms no full-grid array; a member counts as degenerate when every one
+    of its samples is 0.
+    """
     rows = []
     degenerate = 0
     for idx, u in enumerate(members):
-        if not np.any(u.values):
+        if u.is_zero():
             degenerate += 1
         src = residual(u, scenario)
         for s in s_grid:
@@ -164,30 +176,34 @@ def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
 def scan_carleman(scenario: Scenario, ensemble: int = 20,
                   s_grid=(1.0, 2.0, 4.0, 8.0, 16.0), seed: int = 0,
                   modes: int = 4, decay: float = 2.0,
-                  members: list[GridFunction] | None = None,
+                  members: list[GridFunction | SeparableGridFunction]
+                  | None = None,
                   refine: bool = True) -> CarlemanScanReport:
     """Estimate the weighted-estimate constant over a manufactured ensemble.
 
-    Member i is the seeded smooth grid function with seed `seed + i`, with
-    its discrete residual taken as the source; the per-s maximum ratio over
-    the ensemble is aggregated and the stabilized tail gives (s0_hat, c_hat).
-    With refine=True the identical smooth functions are resampled on the
-    node-doubled grid and the relative drift of c_hat is reported.
+    Member i is the seeded smooth grid function with seed `seed + i`
+    (`random_smooth_separable`, the factored form of
+    `random_smooth_gridfunction`), with its discrete residual taken as the
+    source; the per-s maximum ratio over the ensemble is aggregated and the
+    stabilized tail gives (s0_hat, c_hat).  With refine=True the identical
+    smooth functions are resampled on the node-doubled grid and the
+    relative drift of c_hat is reported.
 
-    Explicit `members` replace the generated ensemble (refinement is skipped
-    then, since arbitrary samples cannot be resampled).  Identically zero
-    members are counted as degenerate and excluded from every maximum.
+    Explicit `members`, dense or separable, replace the generated ensemble
+    (refinement is skipped then, since arbitrary samples cannot be
+    resampled).  Identically zero members are counted as degenerate and
+    excluded from every maximum.
     """
     check_hypotheses(scenario).require("weight_coercivity")
     s_grid = tuple(float(s) for s in s_grid)
-    members, coarse, fine, drift = _two_grids(
+    count, coarse, fine, drift = _two_grids(
         scenario, members, ensemble,
-        make_member=lambda grid, i: random_smooth_gridfunction(
+        make_member=lambda grid, i: random_smooth_separable(
             grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
         run_pass=lambda sc, ms: _scan_pass(sc, s_grid, ms),
         constant=lambda scan_pass: scan_pass.c_hat, refine=refine)
     return CarlemanScanReport(scenario=scenario.name, s_grid=s_grid,
-                              ensemble=len(members), coarse=coarse,
+                              ensemble=count, coarse=coarse,
                               fine=fine, drift=drift)
 
 

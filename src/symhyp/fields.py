@@ -8,6 +8,13 @@ Each scenario samples its coefficients once per grid (`Scenario.samples`);
 that sample set also owns the node speeds and the boundary closure
 projectors the time stepper reads.
 
+Grid functions come in two storages.  `GridFunction` holds every sample.
+`SeparableGridFunction` holds a low-rank factorization u = X T^T, an x
+factor per component and a t factor; the seeded smooth ensemble members
+are of this kind (`random_smooth_separable`), and the weighted quadrature
+reads its time rows, boundary columns and weighted norm from the factors
+without forming the (nt, nx, n) samples.
+
 Only one spatial dimension is implemented, but every type carries enough
 structure (normals, node indexing, component counts) that a rectangle
 extension would not change signatures.
@@ -144,22 +151,118 @@ class GridFunction:
     def scaled(self, factor: float) -> "GridFunction":
         return GridFunction(self.grid, factor * self.values)
 
+    def time_row(self, k: int) -> np.ndarray:
+        """Samples at time node k, (nx, n)."""
+        return self.values[k]
+
+    def boundary_columns(self) -> np.ndarray:
+        """Samples at x_lo and x_hi for every time node, (2, nt, n) in
+        SIDES order."""
+        return np.stack([self.values[:, 0], self.values[:, -1]])
+
+    def weighted_norm(self, wx: np.ndarray, wt: np.ndarray) -> float:
+        """sum over nodes of wx[i] * wt[n] * |u(x_i, t_n)|^2.
+
+        One pass over the samples: no squared or weighted copy of them is
+        formed in any memory layout.
+        """
+        return float(np.einsum("txc,x,txc->t", self.values, wx, self.values)
+                     @ wt)
+
+    def is_zero(self) -> bool:
+        return not np.any(self.values)
+
+
+@dataclass
+class SeparableGridFunction:
+    """Grid function held as factors: u(x_i, t_n)_c = sum_k X[i, c, k] T[n, k].
+
+    x_factor X is (nx, n, r) and t_factor T is (nt, r), so a member of rank
+    r costs (nx n + nt) r numbers instead of nt nx n.  It offers what the
+    weighted quadrature reads (two time rows, the boundary columns and a
+    weighted squared norm) straight from the factors; `materialize` gives
+    the dense samples for everything else.
+    """
+
+    grid: SpaceTimeGrid
+    x_factor: np.ndarray
+    t_factor: np.ndarray
+
+    def __post_init__(self):
+        self.x_factor = np.asarray(self.x_factor, dtype=float)
+        self.t_factor = np.asarray(self.t_factor, dtype=float)
+        xf, tf = self.x_factor, self.t_factor
+        if (xf.ndim != 3 or tf.ndim != 2 or xf.shape[0] != self.grid.nx
+                or tf.shape != (self.grid.nt, xf.shape[2])):
+            raise GridMismatchError(
+                f"factor shapes {xf.shape} and {tf.shape} do not match grid "
+                f"(nx, n, r) = ({self.grid.nx}, *, r) and (nt, r) = "
+                f"({self.grid.nt}, r)")
+        for name, arr in (("x_factor", xf), ("t_factor", tf)):
+            if not np.all(np.isfinite(arr)):
+                bad = np.argwhere(~np.isfinite(arr))[0]
+                raise FieldEvaluationError(
+                    f"non-finite {name} entry at index {tuple(map(int, bad))}")
+
+    @property
+    def n_comp(self) -> int:
+        return self.x_factor.shape[1]
+
+    def materialize(self) -> GridFunction:
+        return GridFunction(self.grid, np.einsum(
+            "xck,tk->txc", self.x_factor, self.t_factor, optimize=True))
+
+    def time_row(self, k: int) -> np.ndarray:
+        return self.x_factor @ self.t_factor[k]
+
+    def boundary_columns(self) -> np.ndarray:
+        return self.t_factor @ np.swapaxes(self.x_factor[[0, -1]], 1, 2)
+
+    def weighted_norm(self, wx: np.ndarray, wt: np.ndarray) -> float:
+        """sum(Gx * Gt) with the Grams Gx = X^T diag(wx) X over (x, c) and
+        Gt = T^T diag(wt) T: the weighted norm of a node weight wx(x) wt(t)."""
+        r = self.t_factor.shape[1]
+        xf = self.x_factor.reshape(-1, r)
+        gx = (self.x_factor * wx[:, None, None]).reshape(-1, r).T @ xf
+        gt = (self.t_factor * wt[:, None]).T @ self.t_factor
+        return float(np.sum(gx * gt))
+
+    def is_zero(self) -> bool:
+        """Whether every sample is exactly 0, decided 64 time rows at a time;
+        a member with a nonzero sample in its first rows stops there."""
+        xf = self.x_factor.reshape(self.grid.nx * self.n_comp, -1)
+        return not any(np.any(xf @ self.t_factor[k:k + 64].T)
+                       for k in range(0, self.grid.nt, 64))
+
 
 def central_derivative(data, axis: str, grid: SpaceTimeGrid | None = None):
     """Second-order finite difference along "x" or "t".
 
     Central in the interior, one-sided second-order at the two end nodes.
-    Accepts a GridFunction (returns a GridFunction) or a raw array sampled on
-    `grid` with time as the leading axis (returns an array of the same shape).
+    Accepts a GridFunction or a SeparableGridFunction (returns the same
+    type) or a raw array sampled on `grid` with time as the leading axis
+    (returns an array of the same shape).  The difference is linear and
+    acts along one axis, so on a separable function it differentiates the
+    factor of that axis alone.
     """
     if axis not in ("x", "t"):
         raise ValueError(f"axis must be 'x' or 't' (got {axis!r})")
     if isinstance(data, GridFunction):
         out = central_derivative(data.values, axis, data.grid)
         return GridFunction(data.grid, out)
+    if isinstance(data, SeparableGridFunction):
+        if axis == "x":
+            return replace(data, x_factor=_difference(data.x_factor, 0, "x",
+                                                      data.grid))
+        return replace(data, t_factor=_difference(data.t_factor, 0, "t",
+                                                  data.grid))
     if grid is None:
         raise ValueError("grid is required when differentiating a raw array")
-    ax = 1 if axis == "x" else 0
+    return _difference(data, 1 if axis == "x" else 0, axis, grid)
+
+
+def _difference(data: np.ndarray, ax: int, axis: str,
+                grid: SpaceTimeGrid) -> np.ndarray:
     if data.shape[ax] < 3:
         raise GridError(f"need >= 3 nodes along {axis} (got {data.shape[ax]})")
     spacing = grid.hx if axis == "x" else grid.ht
@@ -547,7 +650,8 @@ def boundary_flux(scenario: Scenario, side: str, t) -> np.ndarray:
     return NORMALS[side] * scenario.h1(xb, t)
 
 
-def check_same_grid(u: GridFunction, scenario: Scenario) -> None:
+def check_same_grid(u: GridFunction | SeparableGridFunction,
+                    scenario: Scenario) -> None:
     """Refuse a grid function sampled on another grid or system size."""
     if u.grid != scenario.grid:
         raise GridMismatchError("grid function lives on a different grid")
@@ -560,17 +664,11 @@ def check_same_grid(u: GridFunction, scenario: Scenario) -> None:
 # seeded ensembles
 # ---------------------------------------------------------------------------
 
-def random_smooth_gridfunction(grid: SpaceTimeGrid, n_comp: int, seed: int,
-                               modes: int = 4,
-                               decay: float = 2.0) -> GridFunction:
-    """Truncated trigonometric series in (x, t) with seeded coefficients.
-
-    Component j is sum over 1 <= k, m <= modes of
-    a_jkm * sin(k*pi*xh + theta) * sin(m*pi*th + psi), with xh, th the
-    coordinates normalized to [0, 1], a_jkm drawn from a seeded normal and
-    scaled by (k*m)^(-decay).  The draw depends only on (seed, n_comp, modes),
-    so refining the grid resamples the very same smooth function.
-    """
+def _smooth_factors(grid: SpaceTimeGrid, n_comp: int, seed: int, modes: int,
+                    decay: float) -> tuple[np.ndarray, ...]:
+    """(Bx, C, Bt) of the seeded smooth member: component j is
+    Bx C[j] Bt^T, with Bx (nx, 2 modes), C (n, 2 modes, 2 modes) and
+    Bt (nt, 2 modes)."""
     if modes < 1:
         raise ValueError(f"modes must be >= 1 (got {modes})")
     rng = np.random.default_rng(seed)
@@ -594,9 +692,32 @@ def random_smooth_gridfunction(grid: SpaceTimeGrid, n_comp: int, seed: int,
 
     xh = (grid.x - grid.x_lo) / (grid.x_hi - grid.x_lo)
     th = grid.t / grid.t_final
-    vals = np.einsum("xk,jkm,tm->txj", basis(xh), cmat, basis(th),
-                     optimize=True)
+    return basis(xh), cmat, basis(th)
+
+
+def random_smooth_gridfunction(grid: SpaceTimeGrid, n_comp: int, seed: int,
+                               modes: int = 4,
+                               decay: float = 2.0) -> GridFunction:
+    """Truncated trigonometric series in (x, t) with seeded coefficients.
+
+    Component j is sum over 1 <= k, m <= modes of
+    a_jkm * sin(k*pi*xh + theta) * sin(m*pi*th + psi), with xh, th the
+    coordinates normalized to [0, 1], a_jkm drawn from a seeded normal and
+    scaled by (k*m)^(-decay).  The draw depends only on (seed, n_comp, modes),
+    so refining the grid resamples the very same smooth function.
+    """
+    bx, cmat, bt = _smooth_factors(grid, n_comp, seed, modes, decay)
+    vals = np.einsum("xk,jkm,tm->txj", bx, cmat, bt, optimize=True)
     return GridFunction(grid, vals)
+
+
+def random_smooth_separable(grid: SpaceTimeGrid, n_comp: int, seed: int,
+                            modes: int = 4,
+                            decay: float = 2.0) -> SeparableGridFunction:
+    """The member of `random_smooth_gridfunction` with the same arguments,
+    as factors of rank 2 modes: x_factor Bx C, t_factor Bt."""
+    bx, cmat, bt = _smooth_factors(grid, n_comp, seed, modes, decay)
+    return SeparableGridFunction(grid, np.einsum("xk,jkm->xjm", bx, cmat), bt)
 
 
 def random_initial_profile(grid: SpaceTimeGrid, n_comp: int, seed: int,

@@ -20,6 +20,7 @@ from .fields import (
     GridFunction,
     MatrixField,
     Scenario,
+    SeparableGridFunction,
     central_derivative,
     check_same_grid,
     sample_field,
@@ -73,15 +74,28 @@ def cumulative_trapezoid(y, x):
         ([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Node weights of the trapezoid rule on n nodes at spacing h."""
+    q = np.full(n, h)
+    q[[0, -1]] *= 0.5
+    return q
+
+
 def _quad_form(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """(M v . v) over matching leading axes."""
     return np.einsum("...ab,...b,...a->...", mats, vecs, vecs)
 
 
-def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
-                   s: float) -> CarlemanTerms:
+def carleman_terms(u: GridFunction | SeparableGridFunction,
+                   source: GridFunction | SeparableGridFunction,
+                   scenario: Scenario, s: float) -> CarlemanTerms:
     """Evaluate all six weighted integrals for one sample and one s.
 
+    u and source may each be dense or separable: each gives its own
+    weighted volume norm, time rows and boundary columns, so a separable
+    one is never materialized.  The gauged weight is a product wx(x) wt(t),
+    and the trapezoid rule in (x, t) is a product of node weights, so every
+    volume norm is one weighted sum (a Gram trace for separable data).
     Boundary quadratures include a node only when its class at that time
     matches the set being integrated; the complement of the minus set takes
     both PLUS and NEITHER nodes.
@@ -90,7 +104,7 @@ def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
     check_same_grid(source, scenario)
     samples = scenario.samples
     grid = scenario.grid
-    hx, ht = grid.hx, grid.ht
+    hx = grid.hx
     t = grid.t
 
     # phi = eta(x) - beta t with beta >= 0 peaks at t = 0, so the gauged
@@ -101,17 +115,17 @@ def carleman_terms(u: GridFunction, source: GridFunction, scenario: Scenario,
     wt = np.exp(-2.0 * s * scenario.beta * t)
 
     lhs_initial = s * trapezoid(
-        _quad_form(samples.h0[0], u.values[0]) * wx, dx=hx)
+        _quad_form(samples.h0[0], u.time_row(0)) * wx, dx=hx)
     rhs_terminal = s * trapezoid(
-        _quad_form(samples.h0[-1], u.values[-1]) * (wx * wt[-1]), dx=hx)
+        _quad_form(samples.h0[-1], u.time_row(-1)) * (wx * wt[-1]), dx=hx)
 
-    sq = np.sum(u.values ** 2, axis=-1)
-    lhs_volume = s * s * trapezoid(trapezoid(sq * wx, dx=hx) * wt, dx=ht)
-    fsq = np.sum(source.values ** 2, axis=-1)
-    rhs_source = trapezoid(trapezoid(fsq * wx, dx=hx) * wt, dx=ht)
+    qwx = _trapezoid_weights(grid.nx, hx) * wx
+    qwt = _trapezoid_weights(grid.nt, grid.ht) * wt
+    lhs_volume = s * s * u.weighted_norm(qwx, qwt)
+    rhs_source = source.weighted_norm(qwx, qwt)
 
     # x_lo and x_hi columns, SIDES first like the samples: (2, nt, ...)
-    ub = np.stack([u.values[:, 0], u.values[:, -1]])
+    ub = u.boundary_columns()
     wb = wx[[0, -1], None] * wt
     flux = np.abs(_quad_form(samples.flux, ub))
     rest = np.sum(ub ** 2, axis=-1) * wb
@@ -181,11 +195,10 @@ def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
     grid = scenario.grid
     t = grid.t
 
-    wx = np.full(grid.nx, grid.hx)
-    wx[[0, -1]] *= 0.5
+    wx = _trapezoid_weights(grid.nx, grid.hx)
     energy = np.einsum("txc,x,txc->t", u.values, wx, u.values)
 
-    ub = np.stack([u.values[:, 0], u.values[:, -1]])
+    ub = u.boundary_columns()
     flux = _quad_form(samples.flux, ub)
     outflow = np.sum(np.where(samples.plus, flux, 0.0), axis=0)
     rest = np.sum(np.where(samples.plus, 0.0, np.sum(ub ** 2, axis=-1)),

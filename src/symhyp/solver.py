@@ -39,6 +39,7 @@ from .fields import (
     SIDES,
     GridFunction,
     Scenario,
+    SeparableGridFunction,
     SpaceTimeGrid,
     central_derivative,
     check_same_grid,
@@ -298,16 +299,34 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
                        cfl_used=cfl_used, cfl_limit=cfl_factor)
 
 
-def residual(u: GridFunction, scenario: Scenario) -> GridFunction:
+def residual(u: GridFunction | SeparableGridFunction,
+             scenario: Scenario) -> GridFunction | SeparableGridFunction:
     """Apply the discrete operator: h0 D_t u + h1 D_x u + p u.
 
     Derivatives are the second-order differences of `central_derivative`.
     Declaring the result as the source makes any smooth sample a valid
     solution (the manufactured-solution route).
+
+    A separable u = X T^T on a scenario whose h0, h1 and p are all
+    time-independent gives the separable source with x factor
+    [h0 X | h1 D_x X + p X] and t factor [D_t T | T], twice u's rank; no
+    full-grid array is formed.  Any other separable u is materialized first.
     """
     check_same_grid(u, scenario)
     samples = scenario.samples
     grid = scenario.grid
+    if isinstance(u, SeparableGridFunction):
+        if all(c is None or len(c) == 1
+               for c in (samples.h0, samples.h1, samples.p)):
+            ut = central_derivative(u, "t")
+            flux = samples.h1[0] @ central_derivative(u, "x").x_factor
+            if samples.p is not None:
+                flux += samples.p[0] @ u.x_factor
+            x_factor = np.concatenate([samples.h0[0] @ u.x_factor, flux],
+                                      axis=2)
+            return SeparableGridFunction(
+                grid, x_factor, np.hstack([ut.t_factor, u.t_factor]))
+        u = u.materialize()
     ut = central_derivative(u.values, "t", grid)
     ux = central_derivative(u.values, "x", grid)
     out = (np.einsum("txab,txb->txa", samples.h0, ut)

@@ -1,6 +1,7 @@
 """Ensemble estimators: refusals, degenerate members, determinism, direction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from symhyp import (
     GridFunction,
     HypothesisRefusal,
     Scenario,
+    SeparableGridFunction,
     SpaceTimeGrid,
     SpatialWeight,
     SymMatrixField,
     build_scenario,
     check_hypotheses,
     estimate_observability,
+    random_smooth_separable,
     scan_carleman,
     verify_energy_estimate,
 )
@@ -80,6 +83,58 @@ class TestScanCarleman:
         report = scan_carleman(sc, s_grid=(1.0, 2.0), members=[zero, live])
         assert report.coarse.degenerate == 1
         assert all(math.isfinite(r) for r in report.rho_max)
+
+    def test_separable_member_degenerate_only_when_every_sample_is_zero(
+            self):
+        sc = build_scenario("coupled-spd", nx=31, nt=41)
+        x_factor = np.zeros((31, 2, 2))
+        x_factor[:, :, 0] = 1.0
+        t_factor = np.zeros((41, 2))
+        t_factor[:, 1] = 1.0
+        zero_product = SeparableGridFunction(sc.grid, x_factor, t_factor)
+        zero_x = SeparableGridFunction(sc.grid, np.zeros((31, 2, 8)),
+                                       np.ones((41, 8)))
+        live = random_smooth_separable(sc.grid, 2, seed=1)
+        report = scan_carleman(sc, s_grid=(1.0, 2.0),
+                               members=[zero_product, zero_x, live])
+        assert report.coarse.degenerate == 2
+        assert all(math.isfinite(r) for r in report.rho_max)
+        ratios = [row.ratio for row in report.coarse.rows]
+        assert all(math.isnan(r) for r in ratios[:4])
+
+    @pytest.mark.parametrize("name", ["coupled-spd", "coupled-varying",
+                                      "transport"])
+    def test_generated_members_match_dense_members(self, name):
+        sc = build_scenario(name, nx=31)
+        s_grid = (1.0, 4.0, 16.0)
+        report = scan_carleman(sc, ensemble=3, s_grid=s_grid, seed=4,
+                               refine=False)
+        dense = scan_carleman(sc, s_grid=s_grid, members=[
+            random_smooth_separable(sc.grid, sc.n_comp, 4 + i).materialize()
+            for i in range(3)])
+        assert len(report.coarse.rows) == len(dense.coarse.rows) == 9
+        for got, want in zip(report.coarse.rows, dense.coarse.rows):
+            assert (got.member, got.s) == (want.member, want.s)
+            assert got.terms.as_tuple() == pytest.approx(
+                want.terms.as_tuple(), rel=1e-12, abs=0.0)
+            assert got.ratio == pytest.approx(want.ratio, rel=1e-12, abs=0.0)
+        assert report.coarse.degenerate == dense.coarse.degenerate == 0
+
+    def test_refined_scan_holds_no_full_grid_member(self):
+        # one refined member of the coarse grid 101 x 1,449 is
+        # 2,897 x 201 x 2 doubles, 9.3 MB
+        sc = build_scenario("coupled-varying", nx=101, t_final=2.0)
+        fine = sc.grid.refined()
+        member_bytes = fine.nt * fine.nx * sc.n_comp * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = scan_carleman(sc, refine=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.fine is not None and report.fine.nt == fine.nt
+        assert peak < member_bytes, (peak, member_bytes)
 
     def test_ensemble_monotonicity(self):
         sc = build_scenario("coupled-spd", nx=31, nt=41)

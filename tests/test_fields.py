@@ -1,5 +1,7 @@
 """Grid, field sampling, eigenvalue bounds, derivatives, and ensembles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from symhyp import (
     GridFunction,
     GridMismatchError,
     MatrixField,
+    SeparableGridFunction,
     SpaceTimeGrid,
     SymMatrixField,
     bump_profile,
@@ -18,6 +21,7 @@ from symhyp import (
     min_max_eigenvalues,
     random_initial_profile,
     random_smooth_gridfunction,
+    random_smooth_separable,
     sample_field,
     symmetry_defect,
 )
@@ -176,6 +180,105 @@ class TestGridFunction:
         vals[3, 4, 0] = np.nan
         with pytest.raises(FieldEvaluationError, match="i=4"):
             GridFunction(unit_grid, vals)
+
+
+class TestSeparableGridFunction:
+    @staticmethod
+    def member(grid, n_comp=2, seed=4):
+        return random_smooth_separable(grid, n_comp, seed=seed)
+
+    @pytest.mark.parametrize("x_shape, t_shape", [
+        ((100, 2, 8), (101, 8)),   # x factor off the grid
+        ((101, 2, 8), (100, 8)),   # t factor off the grid
+        ((101, 2, 8), (101, 7)),   # ranks disagree
+        ((101, 8), (101, 8)),      # no component axis
+    ])
+    def test_shape_mismatch(self, unit_grid, x_shape, t_shape):
+        with pytest.raises(GridMismatchError):
+            SeparableGridFunction(unit_grid, np.zeros(x_shape),
+                                  np.zeros(t_shape))
+
+    @pytest.mark.parametrize("name", ["x_factor", "t_factor"])
+    def test_nonfinite_rejected(self, unit_grid, name):
+        factors = {"x_factor": np.zeros((101, 2, 3)),
+                   "t_factor": np.zeros((101, 3))}
+        factors[name][(5,) + (0,) * (factors[name].ndim - 1)] = np.inf
+        with pytest.raises(FieldEvaluationError, match=name):
+            SeparableGridFunction(unit_grid, **factors)
+
+    @pytest.mark.parametrize("n_comp, modes", [(1, 4), (2, 4), (3, 2)])
+    def test_materializes_the_dense_member(self, unit_grid, n_comp, modes):
+        sep = random_smooth_separable(unit_grid, n_comp, seed=6, modes=modes)
+        dense = random_smooth_gridfunction(unit_grid, n_comp, seed=6,
+                                           modes=modes)
+        assert sep.x_factor.shape == (101, n_comp, 2 * modes)
+        assert sep.t_factor.shape == (101, 2 * modes)
+        vals = sep.materialize().values
+        assert np.max(np.abs(vals - dense.values)) <= \
+            1e-14 * np.max(np.abs(dense.values))
+
+    def test_rows_columns_and_norm_match_dense(self):
+        grid = SpaceTimeGrid(0.0, 1.0, 2.0, 31, 45)
+        sep = self.member(grid)
+        dense = sep.materialize()
+        for k in (0, -1, 7):
+            np.testing.assert_allclose(sep.time_row(k), dense.time_row(k),
+                                       rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sep.boundary_columns(),
+                                   dense.boundary_columns(), rtol=0,
+                                   atol=1e-14)
+        rng = np.random.default_rng(0)
+        wx, wt = rng.uniform(0.1, 2.0, grid.nx), rng.uniform(0.1, 2.0, grid.nt)
+        want = float(np.sum(wt[:, None, None] * wx[None, :, None]
+                            * dense.values ** 2))
+        assert sep.weighted_norm(wx, wt) == pytest.approx(want, rel=1e-13)
+        assert dense.weighted_norm(wx, wt) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_derivative_differentiates_one_factor(self, axis):
+        grid = SpaceTimeGrid(0.0, 1.0, 2.0, 31, 45)
+        sep = self.member(grid)
+        d = central_derivative(sep, axis)
+        assert isinstance(d, SeparableGridFunction)
+        kept = "t_factor" if axis == "x" else "x_factor"
+        assert getattr(d, kept) is getattr(sep, kept)
+        want = central_derivative(sep.materialize(), axis).values
+        assert np.max(np.abs(d.materialize().values - want)) <= \
+            1e-13 * np.max(np.abs(want))
+
+    def test_derivative_needs_three_nodes(self):
+        grid = SpaceTimeGrid(0.0, 1.0, 1.0, 11, 2)
+        with pytest.raises(GridError, match="along t"):
+            central_derivative(self.member(grid), "t")
+
+    def test_zero_only_when_every_sample_is_zero(self, unit_grid):
+        x_factor = np.zeros((101, 2, 2))
+        x_factor[:, :, 0] = 1.0
+        t_factor = np.zeros((101, 2))
+        t_factor[:, 1] = 1.0
+        # nonzero factors whose product vanishes at every node
+        assert SeparableGridFunction(unit_grid, x_factor, t_factor).is_zero()
+        assert SeparableGridFunction(unit_grid, np.zeros((101, 2, 3)),
+                                     np.ones((101, 3))).is_zero()
+        # one nonzero sample, in the last time row, past the first blocks
+        t_factor[-1, 0] = 1e-300
+        assert not SeparableGridFunction(unit_grid, x_factor,
+                                         t_factor).is_zero()
+        assert not self.member(unit_grid).is_zero()
+        assert GridFunction.zeros(unit_grid, 2).is_zero()
+
+    def test_zero_check_does_not_materialize(self):
+        grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 4001)
+        zero = SeparableGridFunction(grid, np.zeros((101, 2, 8)),
+                                     np.ones((4001, 8)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert zero.is_zero()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * grid.nt * grid.nx * 2 * 8, peak
 
 
 class TestRandomEnsembles:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from symhyp import (
     BoundaryLabel,
     GridFunction,
     GridMismatchError,
+    MatrixField,
     Scenario,
+    SeparableGridFunction,
     SolveResult,
     SpaceTimeGrid,
     SpatialWeight,
@@ -28,6 +31,7 @@ from symhyp import (
     ibp_identity_defect,
     observability_ratio,
     random_smooth_gridfunction,
+    random_smooth_separable,
     residual,
     solve,
 )
@@ -227,6 +231,136 @@ class TestHomogeneityAndMonotonicity:
             assert terms.rhs_source >= 0.0
             assert terms.rhs_gamma_rest >= 0.0
             assert terms.rhs_terminal >= 0.0  # h0 bounds hold here
+
+
+def _time_dependent_p(x, t):
+    x, t = np.broadcast_arrays(x, t)
+    out = np.zeros(x.shape + (2, 2))
+    out[..., 0, 0] = 0.3 * np.sin(3.0 * t) + x
+    out[..., 0, 1] = -0.2
+    out[..., 1, 0] = 0.1 * np.cos(t)
+    out[..., 1, 1] = 0.4
+    return out
+
+
+class TestSeparableMembers:
+    """A separable member and its separable source give the six terms of
+    the dense member and its dense residual."""
+
+    STATIC = ["transport", "coupled-spd", "coupled-varying", "wave-type",
+              "inline-p", "n3-p"]
+
+    @staticmethod
+    def scenario(name):
+        if name in ("transport", "coupled-spd", "coupled-varying",
+                    "wave-type"):
+            return build_scenario(name, nx=41, t_final=1.0)
+        if name == "inline-p":
+            return replace(build_scenario("coupled-varying", nx=41,
+                                          t_final=1.0),
+                           p=MatrixField.affine([[0.3, -0.2], [0.1, 0.4]],
+                                                [[0.5, 0.0], [0.0, -0.5]]))
+        if name == "n3-p":
+            sc = system_scenario([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2],
+                                  [0.0, 0.2, 1.0]],
+                                 [[1.0, 0.5, 0.0], [0.5, -1.0, 0.3],
+                                  [0.0, 0.3, 0.4]], nx=41, nt=81)
+            return replace(sc, p=MatrixField.constant(
+                [[0.2, -0.1, 0.0], [0.3, 0.1, 0.0], [0.0, 0.5, -0.2]]))
+        if name == "switch":
+            return TestBoundaryClassSwitch.scenario()
+        if name == "pulsing":
+            return Scenario(
+                name="pulsing", grid=SpaceTimeGrid(0.0, 1.0, 1.0, 41, 121),
+                n_comp=1, h0=SymMatrixField.constant([[1.0]]),
+                h1=SymMatrixField(1, lambda x, t: (
+                    1.0 + 0.5 * np.sin(4.0 * t) + 0.0 * x)[..., None, None]),
+                eta=SpatialWeight.linear(1.0), beta=0.5)
+        assert name == "timedep-p"
+        return replace(build_scenario("coupled-varying", nx=41, t_final=1.0),
+                       p=MatrixField(2, _time_dependent_p))
+
+    @staticmethod
+    def assert_terms_match(got, want):
+        # abs=0: a term of 0 must be exactly 0 on both sides
+        assert got.as_tuple() == pytest.approx(want.as_tuple(), rel=1e-12,
+                                               abs=0.0)
+        assert got.log_scale == want.log_scale
+
+    @pytest.mark.parametrize("s", [1.0, 16.0])
+    @pytest.mark.parametrize("name", STATIC)
+    def test_matches_dense_member(self, name, s):
+        sc = self.scenario(name)
+        sep = random_smooth_separable(sc.grid, sc.n_comp, seed=12)
+        dense = sep.materialize()
+        src, want_src = residual(sep, sc), residual(dense, sc)
+        assert isinstance(src, SeparableGridFunction)
+        assert src.t_factor.shape[1] == 2 * sep.t_factor.shape[1]
+        scale = float(np.max(np.abs(want_src.values)))
+        assert np.max(np.abs(src.materialize().values
+                             - want_src.values)) <= 1e-12 * scale
+        self.assert_terms_match(carleman_terms(sep, src, sc, s),
+                                carleman_terms(dense, want_src, sc, s))
+
+    @pytest.mark.parametrize("name", ["switch", "pulsing", "timedep-p"])
+    def test_time_dependent_coefficients_take_the_dense_source(self, name):
+        sc = self.scenario(name)
+        sep = random_smooth_separable(sc.grid, sc.n_comp, seed=13)
+        dense = sep.materialize()
+        src = residual(sep, sc)
+        assert type(src) is GridFunction
+        assert np.array_equal(src.values, residual(dense, sc).values)
+        for s in (1.0, 16.0):
+            self.assert_terms_match(carleman_terms(sep, src, sc, s),
+                                    carleman_terms(dense, src, sc, s))
+
+
+class TestDenseVolumeNorms:
+    """The dense volume and source norms are one weighted pass each."""
+
+    @staticmethod
+    def former(u, source, sc, s):
+        """(lhs_volume, rhs_source) by the former per-axis trapezoids."""
+        grid = sc.grid
+        eta = sc.eta(grid.x)
+        wx = np.exp(2.0 * s * (eta - eta.max()))
+        wt = np.exp(-2.0 * s * sc.beta * grid.t)
+
+        def norm(vals):
+            sq = np.sum(vals ** 2, axis=-1)
+            return trapezoid(trapezoid(sq * wx, dx=grid.hx) * wt, dx=grid.ht)
+
+        return s * s * norm(u.values), norm(source.values)
+
+    @pytest.mark.parametrize("s", [1.0, 16.0])
+    @pytest.mark.parametrize("kind", ["solve", "component-major", "n1", "n3",
+                                      "zero"])
+    def test_matches_former_formula(self, kind, s):
+        sc, u = TestEnergyLedger.sample(kind)
+        u = u.u if isinstance(u, SolveResult) else u
+        src = residual(u, sc)
+        terms = carleman_terms(u, src, sc, s)
+        volume, source = self.former(u, src, sc, s)
+        assert terms.lhs_volume == pytest.approx(volume, rel=1e-14, abs=0.0)
+        assert terms.rhs_source == pytest.approx(source, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["solve", "component-major"])
+    def test_terms_hold_no_copy_of_the_member(self, kind):
+        sc = build_scenario("coupled-varying", nx=101, t_final=1.0)
+        if kind == "solve":
+            u = solve(sc, np.sin(np.pi * sc.grid.x[:, None] * [1.0, 2.0])).u
+        else:
+            u = random_smooth_gridfunction(sc.grid, 2, seed=11)
+        src = residual(u, sc)
+        carleman_terms(u, src, sc, 2.0)  # fill the sample set
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            carleman_terms(u, src, sc, 2.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * u.values.nbytes, (peak, u.values.nbytes)
 
 
 class TestLocalTrapezoid:
