@@ -39,7 +39,7 @@ from symhyp import (
 from symhyp import fields
 from symhyp.catalog import CatalogEntry
 from symhyp.fields import SPEED_TOL, _closure_projectors
-from symhyp.solver import _inflow_data, _normalize_initial
+from symhyp.solver import BAND_ROWS, _inflow_data, _normalize_initial
 
 import test_functionals
 from conftest import scalar_scenario, system_scenario
@@ -199,6 +199,28 @@ class TestSolve:
         assert sum(calls) == 301
         assert np.array_equal(first.u.values, second.u.values)
 
+    def test_time_dependent_grid_just_under_its_courant_limit(self):
+        # h0 = I, h1 = [[2 + x + 0.5 sin 4t, 1], [1, 2]] on 101 x 1601 nodes,
+        # T = 2: T alpha / (cfl hx) = 1599.99995, so a speed about 3e-8
+        # relative too high would need nt 1602
+        def h1(x, t):
+            x, t = np.broadcast_arrays(x, t)
+            out = np.ones(x.shape + (2, 2))
+            out[..., 0, 0] = 2.0 + x + 0.5 * np.sin(4.0 * t)
+            out[..., 1, 1] = 2.0
+            return out
+
+        sc = Scenario(name="timedep-h1",
+                      grid=SpaceTimeGrid(0.0, 1.0, 2.0, 101, 1601), n_comp=2,
+                      h0=SymMatrixField.constant(np.eye(2)),
+                      h1=SymMatrixField(2, h1, time_independent=False),
+                      eta=SpatialWeight.linear(1.0), beta=0.5)
+        steps = 2.0 * max_char_speed(sc) / (0.5 * sc.grid.hx)
+        assert 1600 - 1e-4 < steps < 1600
+        assert admissible_time_nodes(sc) == 1601
+        res = solve(sc, fields.random_initial_profile(sc.grid, 2, seed=0))
+        assert res.cfl_used <= 0.5
+
     @pytest.mark.parametrize("name", ["transport", "coupled-spd", "wave-type"])
     def test_energy_nonincreasing_constant_coefficients(self, name):
         sc = build_scenario(name, nx=101, t_final=1.0)
@@ -319,6 +341,15 @@ def _wobbling_flux(x, t):
     return out
 
 
+def _breathing_h0(x, t):
+    """An SPD 2x2 h0 that moves in x and t."""
+    x, t = np.broadcast_arrays(x, t)
+    out = np.full(x.shape + (2, 2), 0.2)
+    out[..., 0, 0] = 2.0 + 0.3 * np.sin(3.0 * t)
+    out[..., 1, 1] = 1.5 + 0.2 * x
+    return out
+
+
 def _marched_cases():
     """(scenario, initial data, inflow) for every branch of the step."""
     cases = {}
@@ -350,6 +381,17 @@ def _marched_cases():
         grid=SpaceTimeGrid(0.0, 1.0, 1.0, 41, 401))
     cases["wobbling"] = (wobbling, fields.random_initial_profile(
         wobbling.grid, 2, seed=7), None)
+    # time-dependent h0 over several band blocks, with and without the
+    # source term that reads inv(h0) at every step
+    breathing = replace(
+        forced, h0=SymMatrixField(2, _breathing_h0, time_independent=False))
+    breathing = breathing.with_grid(SpaceTimeGrid(
+        0.0, 1.0, 1.0, 41, admissible_time_nodes(breathing)))
+    assert breathing.grid.nt > 2 * BAND_ROWS
+    for name, sc in (("breathing-h0", replace(breathing, source=None)),
+                     ("breathing-h0-source", breathing)):
+        cases[name] = (sc, fields.random_initial_profile(sc.grid, 2, seed=9),
+                       {"x_lo": lambda t: [np.sin(t), 0.5 * t]})
     # n = 3, static, x-dependent h0 and h1 with speeds of both signs: every
     # band offset of a 3-component node, and a characteristic entering at
     # each end
