@@ -4,8 +4,11 @@ Verbs: check | solve | carleman | observe | energy | identities | scenarios.
 Each experiment verb reads a YAML config (--config), applies flag overrides,
 prints a summary to stdout, and writes CSV artifacts into the output
 directory: cells are formatted a column at a time, floats by `repr` (full
-round-trip precision), and `solution.csv` is streamed one time row at a
-time.  Exit status is 0 only when every executed check passed; a hypothesis
+round-trip precision), and `solution.csv` is formatted one time row at a
+time, in contiguous ranges of time rows split across processes: one per
+usable CPU, each with at least MIN_CELLS_PER_PROCESS cells, so a small
+table stays in one process.  The split does not change the bytes.  Exit
+status is 0 only when every executed check passed; a hypothesis
 refusal or an invariant violation exits 1, configuration errors exit 2.
 Outputs carry no timestamps, so identical config + seed reproduces identical
 bytes.
@@ -18,7 +21,10 @@ import csv
 import io
 import itertools
 import math
+import os
 import sys
+import tempfile
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +51,11 @@ from .solver import solve
 
 #: identity defects must shrink by at least this factor under node doubling
 IDENTITY_SHRINK_FACTOR = 3.5
+
+#: the fewest cells a CSV-formatting process gets, so a table of fewer than
+#: twice this many is formatted in one process: forking and spooling a
+#: worker costs about what formatting 10,000 cells does
+MIN_CELLS_PER_PROCESS = 20_000
 
 VERB_EXPERIMENTS = {
     "check": "hypotheses",
@@ -105,19 +116,116 @@ def _quoted(column: list[str], lone: bool) -> list[str]:
     return cells
 
 
-def _write_csv(path: Path, header, blocks) -> None:
-    """Write the header, then each block of equal-length text columns;
-    a generator of blocks streams the table one block at a time.  The
-    bytes are those of csv.writer with lineterminator "\n"."""
+def _write_blocks(fh, blocks) -> None:
+    """Write each block of equal-length text columns as CSV lines."""
+    for columns in blocks:
+        lone = len(columns) == 1
+        lines = list(map(",".join, zip(
+            *(_quoted(col, lone) for col in columns), strict=True)))
+        if lines:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+
+
+class _Blocks(Sequence):
+    """Blocks formatted when read: block k is make(k), for k < count."""
+
+    def __init__(self, make, count: int):
+        self._make, self._count = make, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k):
+        if not 0 <= k < self._count:  # also ends iteration
+            raise IndexError(k)
+        return self._make(k)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or cannot
+    read its CPU affinity."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_csv(path: Path, header, blocks, cells: int = 0) -> None:
+    """Write the header, then each block of equal-length text columns.
+
+    The bytes are those of csv.writer with lineterminator "\n"; a generator
+    of blocks streams the table one block at a time.  `cells`, when given,
+    is the table's cell count and `blocks` a sequence: its contiguous
+    ranges of blocks are then formatted in up to one process per usable
+    CPU, each with at least MIN_CELLS_PER_PROCESS cells.
+    """
+    head = [[name] for name in header]
+    procs = min(_usable_cpus(), cells // MIN_CELLS_PER_PROCESS,
+                len(blocks)) if cells else 1
     with open(path, "w", newline="") as fh:
-        for columns in itertools.chain([[[name] for name in header]],
-                                       blocks):
-            lone = len(columns) == 1
-            lines = list(map(",".join, zip(
-                *(_quoted(col, lone) for col in columns), strict=True)))
-            if lines:
-                fh.write("\n".join(lines))
-                fh.write("\n")
+        if procs < 2:
+            _write_blocks(fh, itertools.chain([head], blocks))
+        else:
+            _write_split(fh, path, head, blocks, procs)
+
+
+def _write_split(fh, path: Path, head, blocks: Sequence, procs: int) -> None:
+    """Blocks in `procs` contiguous ranges: this process writes the header
+    and the first range to `fh`; a forked worker per later range writes it
+    to an unnamed spool file, which the kernel appends to `fh` once the
+    worker has exited.  A failed worker is an OSError naming `path`."""
+    ends = [len(blocks) * k // procs for k in range(procs + 1)]
+    ranges = list(zip(ends[1:-1], ends[2:]))
+    spools, pids = [], []  # pids of the workers not yet reaped
+    try:
+        for first, stop in ranges:
+            spools.append(tempfile.TemporaryFile(dir=path.parent))
+            # so that a worker cannot repeat output buffered here
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                _spool_range(spools[-1], fh.encoding, blocks, first, stop)
+            pids.append(pid)
+        _write_blocks(fh, itertools.chain(
+            [head], map(blocks.__getitem__, range(ends[1]))))
+        fh.flush()
+        for (first, stop), spool in zip(ranges, spools):
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if code := os.waitstatus_to_exitcode(status):
+                exc = OSError(f"the process formatting blocks {first} to "
+                              f"{stop - 1} exited with status {code}")
+                exc.filename = str(path)
+                raise exc
+            size, sent = os.fstat(spool.fileno()).st_size, 0
+            while sent < size:  # a kernel copy, never held in memory here
+                sent += os.sendfile(fh.fileno(), spool.fileno(), sent,
+                                    size - sent)
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for spool in spools:
+            spool.close()
+
+
+def _spool_range(spool, encoding: str, blocks: Sequence, first: int,
+                 stop: int) -> None:
+    """A forked worker's whole life: write blocks first..stop-1 to `spool`
+    and leave through os._exit, which never unwinds into the frames (and
+    open files) it shares with the parent."""
+    code = 1
+    try:
+        try:
+            text = io.TextIOWrapper(spool, encoding=encoding, newline="")
+            _write_blocks(text, map(blocks.__getitem__, range(first, stop)))
+            text.flush()
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+            sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 def _initial_data(cfg: RunConfig, scenario: Scenario):
@@ -156,10 +264,12 @@ def _run_solve(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     comp_cols = [f"u_{j + 1}" for j in range(scenario.n_comp)]
     # i, x and t are formatted once; every time row reuses their strings
     i_col, x_col, t_col = map(_column, (range(grid.nx), grid.x, grid.t))
-    _write_csv(out / "solution.csv", ("i", "n", "x", "t", *comp_cols),
-               ((i_col, [str(n)] * grid.nx, x_col, [t_txt] * grid.nx,
-                 *map(_column, u_n.T))
-                for n, (t_txt, u_n) in enumerate(zip(t_col, result.u.values))))
+    values = result.u.values
+    header = ("i", "n", "x", "t", *comp_cols)
+    _write_csv(out / "solution.csv", header, _Blocks(
+        lambda n: (i_col, [str(n)] * grid.nx, x_col, [t_col[n]] * grid.nx,
+                   *map(_column, values[n].T)), grid.nt),
+        cells=grid.nt * grid.nx * len(header))
     _write_csv(out / "traces.csv", ("side", "t", *comp_cols),
                [([side] * grid.nt, t_col, *map(_column, trace.T))
                 for side, trace in zip(SIDES, result.traces)])

@@ -88,6 +88,16 @@ class CarlemanScanReport:
         return all(math.isfinite(r) for r in self.coarse.rho_max)
 
 
+def _median(values) -> float:
+    """The median of finite values, as np.median gives it, without the
+    numpy.ma import that np.median makes on numpy 2."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _stabilized_tail(s_grid: tuple[float, ...],
                      rho: tuple[float, ...]) -> tuple[float, float]:
     """(s0_hat, c_hat) from the per-s maxima.
@@ -100,7 +110,7 @@ def _stabilized_tail(s_grid: tuple[float, ...],
     tail = [r for r in rho[len(rho) // 2:] if math.isfinite(r)]
     if not tail:
         return s_grid[-1], math.nan
-    tail_ref = float(np.median(tail))
+    tail_ref = _median(tail)
     s0_hat = s_grid[-1]
     for s, r in zip(s_grid, rho):
         if math.isfinite(r) and abs(r - tail_ref) <= S0_TAIL_BAND * abs(tail_ref):

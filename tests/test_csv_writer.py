@@ -7,8 +7,10 @@ CSV the command line writes must keep its bytes.
 
 import csv
 import math
+import os
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,27 +144,102 @@ def _reference_files(cfg, scenario, out: Path) -> None:
     _row_writer(out / "traces.csv", ("side", "t", *comp_cols), trows)
 
 
-class TestSolveOutputs:
-    def _check(self, tmp_path, body):
-        cfg, scenario = _solve_setup(tmp_path, body)
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(body)
-        assert cli.main(["solve", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "out")]) == 0
-        ref = tmp_path / "ref"
-        ref.mkdir()
-        _reference_files(cfg, scenario, ref)
-        for name in ("solution.csv", "traces.csv"):
-            assert (tmp_path / "out" / name).read_bytes() == \
-                (ref / name).read_bytes(), name
+def _check_solve(tmp_path, body) -> int:
+    """Run the solve verb and compare with the row writer; returns nt."""
+    cfg, scenario = _solve_setup(tmp_path, body)
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(body)
+    assert cli.main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    _reference_files(cfg, scenario, ref)
+    for name in ("solution.csv", "traces.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (ref / name).read_bytes(), name
+    return scenario.grid.nt
 
+
+TRANSPORT = ("scenario: transport\ngrid: {nx: 21}\n"
+             "initial: {kind: random, modes: 3}\n")
+COUPLED = "scenario: coupled-varying\ngrid: {nx: 11}\nT: 0.5\n"
+#: no catalog entry has three components
+THREE_COMPONENTS = """\
+scenario:
+  name: inline-3
+  n: 3
+  h0: {constant: [[2, 1, 0], [1, 2, 0], [0, 0, 1]]}
+  h1: {affine: {base: [[2, 1, 0], [1, 2, 0], [0, 0, 3]],
+                slope: [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}}
+grid: {nx: 9}
+T: 0.5
+weight: {beta: 0.5}
+"""
+#: two time rows, fewer than three processes
+TWO_ROWS = "scenario: transport\ngrid: {nx: 5, nt: 2}\nT: 0.01\n"
+
+
+def _force_processes(monkeypatch, procs: int) -> list[int]:
+    """Let the writer use `procs` processes on any table; returns the list
+    that collects the pid of every worker it forks."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+    monkeypatch.setattr(cli, "MIN_CELLS_PER_PROCESS", 1)
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+class TestSolveOutputs:
     def test_transport_single_component(self, tmp_path):
-        self._check(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
-                              "initial: {kind: random, modes: 3}\n")
+        _check_solve(tmp_path, TRANSPORT)
 
     def test_coupled_varying_two_components(self, tmp_path):
-        self._check(tmp_path, "scenario: coupled-varying\ngrid: {nx: 11}\n"
-                              "T: 0.5\n")
+        _check_solve(tmp_path, COUPLED)
+
+    @pytest.mark.parametrize("procs", [1, 2, 3])
+    @pytest.mark.parametrize("body", [TRANSPORT, COUPLED, THREE_COMPONENTS,
+                                      TWO_ROWS],
+                             ids=["n1", "n2", "n3", "n1-two-rows"])
+    def test_split_across_processes_keeps_bytes(self, tmp_path, monkeypatch,
+                                                procs, body):
+        forked = _force_processes(monkeypatch, procs)
+        # Python >= 3.12 warns when it forks a process with threads; the
+        # warning is recorded, not raised, since it comes after the fork
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            nt = _check_solve(tmp_path, body)
+        assert [str(w.message) for w in seen] == []
+        assert len(forked) == min(procs, nt) - 1
+
+    def test_failed_worker_is_an_io_failure(self, tmp_path, monkeypatch,
+                                            capfd):
+        forked = _force_processes(monkeypatch, 3)
+        parent, column = os.getpid(), cli._column
+
+        def column_failing_in_workers(values):
+            if os.getpid() != parent:
+                raise RuntimeError("column failed in a worker")
+            return column(values)
+
+        monkeypatch.setattr(cli, "_column", column_failing_in_workers)
+        cfg_path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        cfg_path.write_text(COUPLED)
+        assert cli.main(["solve", "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+        err = capfd.readouterr().err
+        assert f"I/O failure at {out / 'solution.csv'}:" in err
+        assert "RuntimeError: column failed in a worker" in err
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(out) == ["solution.csv"]
 
     def test_writer_holds_less_than_the_solution(self, tmp_path):
         cfg, scenario = _solve_setup(

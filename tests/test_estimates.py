@@ -1,7 +1,10 @@
 """Ensemble estimators: refusals, degenerate members, determinism, direction."""
 
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from symhyp import (
     scan_carleman,
     verify_energy_estimate,
 )
+from symhyp import estimates
 
 from conftest import system_scenario
 
@@ -179,6 +183,26 @@ class TestScanCarleman:
                                refine=True)
         assert report.fine is not None
         assert sampled == [11, 21]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10])
+    def test_tail_median_is_numpy_median(self, size):
+        rng = np.random.default_rng(size)
+        for values in (rng.standard_normal(size) * 10.0 ** rng.integers(
+                -300, 300, size), np.full(size, 0.1 + 0.2)):
+            values = values.tolist()
+            assert repr(estimates._median(values)) == \
+                repr(float(np.median(values)))
+
+    def test_scan_does_not_import_numpy_ma(self):
+        src = str(Path(estimates.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import symhyp; "
+             "sc = symhyp.build_scenario('coupled-varying', nx=21); "
+             "symhyp.scan_carleman(sc, ensemble=2, s_grid=(1.0, 2.0, 4.0), "
+             "refine=False); print('numpy.ma' in sys.modules)", src],
+            capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestEstimateObservability:
