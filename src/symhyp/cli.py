@@ -117,11 +117,21 @@ def _quoted(column: list[str], lone: bool) -> list[str]:
 
 
 def _write_blocks(fh, blocks) -> None:
-    """Write each block of equal-length text columns as CSV lines."""
+    """Write each block of equal-length text columns as CSV lines.
+
+    A column object that the previous block also held (solution.csv's i
+    and x columns, in every time row) is quoted once, so no column may
+    change while its table is written.
+    """
+    quoted = {}  # (id, lone) -> (column, quoted column) of the last block
     for columns in blocks:
         lone = len(columns) == 1
+        # the previous block's columns stay referenced until this block's
+        # are in, so no id kept here can name a new object
+        quoted = {(id(col), lone): quoted.get((id(col), lone))
+                  or (col, _quoted(col, lone)) for col in columns}
         lines = list(map(",".join, zip(
-            *(_quoted(col, lone) for col in columns), strict=True)))
+            *(quoted[id(col), lone][1] for col in columns), strict=True)))
         if lines:
             fh.write("\n".join(lines))
             fh.write("\n")

@@ -4,7 +4,9 @@ The weighted-estimate scan samples the solution quantifier with manufactured
 solutions: arbitrary seeded smooth grid functions whose source is defined as
 their own discrete residual.  The observability and energy studies use
 genuine zero-inflow solves of the homogeneous system, as those statements
-require.  Every study builds the hypothesis report that `check` prints
+require, one `solve` per member, streamed into a `MarchRecord` that keeps
+the initial row, the boundary traces and the row energies, never the
+solution.  Every study builds the hypothesis report that `check` prints
 and refuses to run through `HypothesisReport.require` when one of its
 structural hypotheses fails: the refusal names each failed check with its
 worst node and value and carries the report.  Every aggregation is a max
@@ -29,10 +31,9 @@ from .fields import (
 )
 from .functionals import (
     CarlemanTerms,
+    MarchRecord,
     carleman_ratio,
     carleman_terms,
-    energy_ledger,
-    observability_ratio,
 )
 from .hypotheses import check_hypotheses
 from .solver import CFL_DEFAULT, residual, solve
@@ -277,11 +278,11 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         else:
             raise ValueError(f"unknown initial_kind {initial_kind!r}")
 
-    # no reference to a solution outlives its ratio, so the next member's
-    # march does not hold two solution arrays at once
-    ratios = [observability_ratio(solve(scenario, u0, inflow=None,
-                                        cfl_factor=cfl_factor))
-              for u0 in members]
+    ratios = []
+    for u0 in members:
+        record = MarchRecord(scenario)
+        solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
+        ratios.append(record.observability_ratio())
 
     # ratios are >= 0, so the largest usable one is finite exactly when
     # there is one and every usable ratio is finite
@@ -321,9 +322,12 @@ class EnergyEstimateReport:
 
 
 def _energy_pass(scenario: Scenario, members, cfl_factor: float):
-    return [energy_ledger(solve(scenario, u0, inflow=None,
-                                cfl_factor=cfl_factor), scenario).max_ratio
-            for u0 in members]
+    ratios = []
+    for u0 in members:
+        record = MarchRecord(scenario, energy=True)
+        solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
+        ratios.append(record.ledger().max_ratio)
+    return ratios
 
 
 def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,

@@ -125,11 +125,7 @@ class GridFunction:
             raise GridMismatchError(
                 f"values shape {self.values.shape} does not match grid "
                 f"(nt, nx, n) = ({self.grid.nt}, {self.grid.nx}, *)")
-        if not np.all(np.isfinite(self.values)):
-            bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise FieldEvaluationError(
-                f"non-finite sample at node (i={bad[1]}, n={bad[0]}), "
-                f"component {bad[2]}")
+        check_finite(self.values)
 
     @property
     def n_comp(self) -> int:
@@ -171,6 +167,16 @@ class GridFunction:
 
     def is_zero(self) -> bool:
         return not np.any(self.values)
+
+
+def check_finite(rows: np.ndarray, first: int = 0) -> None:
+    """Refuse (rows, nx, n) samples of time nodes first, first + 1, ...
+    holding a non-finite value, naming the first such node in time order."""
+    if not np.all(np.isfinite(rows)):
+        bad = np.argwhere(~np.isfinite(rows))[0]
+        raise FieldEvaluationError(
+            f"non-finite sample at node (i={bad[1]}, n={first + bad[0]}), "
+            f"component {bad[2]}")
 
 
 @dataclass
@@ -381,7 +387,12 @@ def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
             f"field {field.label or '<unnamed>'} non-finite at node "
             f"(i={bad[1]}, n={bad[0]}), x={xi}, t={tn}")
     if isinstance(field, SymMatrixField):
-        defect = float(np.max(np.abs(vals - np.swapaxes(vals, -1, -2))))
+        # one pair (a, b) above the diagonal at a time, so no temporary is
+        # larger than one entry's samples
+        n = field.n_comp
+        defect = max((float(np.max(np.abs(vals[..., a, b] - vals[..., b, a])))
+                      for a in range(n) for b in range(a + 1, n)),
+                     default=0.0)
         if defect > SYMMETRY_TOL:
             raise AsymmetricFieldError(
                 f"field {field.label or '<unnamed>'} symmetry defect "
@@ -536,6 +547,17 @@ class SpatialWeight:
         return cls(fn, deriv, label=f"linear(a={slope}, b={offset})")
 
 
+#: time rows of per-node samples that node-wise work (node speeds,
+#: coercivity eigenvalues) forms at once, which bounds its temporaries
+ROW_BLOCK = 256
+
+
+def row_block(samples, k: int) -> list[np.ndarray]:
+    """Time rows k .. k + ROW_BLOCK - 1 of each sample array; a one-row
+    (time-independent) array is passed whole, to be broadcast."""
+    return [arr if len(arr) == 1 else arr[k:k + ROW_BLOCK] for arr in samples]
+
+
 class GridSamples:
     """Coefficient samples of one scenario on its grid.
 
@@ -568,7 +590,7 @@ class GridSamples:
         """Largest characteristic speed at every sampled node, (rows, nx).
 
         rows is 1 when h0 and h1 are both sampled on one time row, nt
-        otherwise.  `_char_speeds` fills 256 time rows at a time, closed
+        otherwise.  `_char_speeds` fills ROW_BLOCK time rows at a time, closed
         form for n <= 2.  Refuses, naming the node and the eigenvalue, when
         h0 is not positive definite somewhere; a refusal is not cached.
         """
@@ -582,12 +604,9 @@ class GridSamples:
         # a time-independent h0 is factored once for every h1 row
         linv = _inverse_factor(h0) if len(h0) == 1 else None
         speeds = np.empty((max(len(h0), len(h1)), h0.shape[1]))
-        # whitening a block of rows at a time bounds its temporaries
-        block = 256
-        for k in range(0, len(speeds), block):
-            speeds[k:k + block] = _char_speeds(
-                h0 if len(h0) == 1 else h0[k:k + block],
-                h1 if len(h1) == 1 else h1[k:k + block], linv)
+        for k in range(0, len(speeds), ROW_BLOCK):
+            speeds[k:k + ROW_BLOCK] = _char_speeds(
+                *row_block((h0, h1), k), linv)
         speeds.flags.writeable = False
         return speeds
 

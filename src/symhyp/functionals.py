@@ -182,25 +182,16 @@ class EnergyLedger:
         return float(np.max(self.lemma_lhs) / self.rhs_core)
 
 
-def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
-    """Assemble the energy balance for a solution sample.
+def _row_energies(rows: np.ndarray, wx: np.ndarray) -> np.ndarray:
+    """Squared norm of each (nx, n) time row under the x weights wx."""
+    return np.einsum("txc,x,txc->t", rows, wx, rows)
 
-    Accepts a SolveResult or a bare GridFunction.  The energy of every time
-    row is one pass over the samples, with the trapezoid rule in x as a
-    weight vector, so no temporary of the solution's size exists in any
-    memory layout.
-    """
-    if isinstance(u, SolveResult):
-        u = u.u
-    check_same_grid(u, scenario)
+
+def _ledger(scenario: Scenario, energy: np.ndarray,
+            ub: np.ndarray) -> EnergyLedger:
+    """The ledger of the row energies and the (2, nt, n) boundary traces."""
     samples = scenario.samples
-    grid = scenario.grid
-    t = grid.t
-
-    wx = _trapezoid_weights(grid.nx, grid.hx)
-    energy = np.einsum("txc,x,txc->t", u.values, wx, u.values)
-
-    ub = u.boundary_columns()
+    t = scenario.grid.t
     flux = _quad_form(samples.flux, ub)
     outflow = np.sum(np.where(samples.plus, flux, 0.0), axis=0)
     rest = np.sum(np.where(samples.plus, 0.0, np.sum(ub ** 2, axis=-1)),
@@ -215,20 +206,79 @@ def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
     )
 
 
-def observability_ratio(result: SolveResult) -> float:
-    """Initial-data norm over boundary-trace norm.
+def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
+    """Assemble the energy balance for a solution sample.
 
-    nan marks the degenerate 0/0 case; inf is the witness of a vanishing
-    trace with nonzero initial data (observability failure).
+    Accepts a SolveResult or a bare GridFunction.  The energy of every time
+    row is one pass over the samples, with the trapezoid rule in x as a
+    weight vector, so no temporary of the solution's size exists in any
+    memory layout.  It reads only those energies and the boundary traces,
+    so a march observed by `MarchRecord(energy=True)` gives the same
+    ledger, bit for bit, without holding the solution; this dense form is
+    its oracle.
     """
-    grid = result.u.grid
-    num = math.sqrt(trapezoid(np.sum(result.u.values[0] ** 2, axis=-1),
-                              dx=grid.hx))
-    den = math.sqrt(np.sum(trapezoid(np.sum(result.traces ** 2, axis=-1),
+    if isinstance(u, SolveResult):
+        u = u.u
+    check_same_grid(u, scenario)
+    grid = scenario.grid
+    energy = _row_energies(u.values, _trapezoid_weights(grid.nx, grid.hx))
+    return _ledger(scenario, energy, u.boundary_columns())
+
+
+def _trace_ratio(grid, initial: np.ndarray, traces: np.ndarray) -> float:
+    """Norm of the initial row over the norm of the (2, nt, n) traces."""
+    num = math.sqrt(trapezoid(np.sum(initial ** 2, axis=-1), dx=grid.hx))
+    den = math.sqrt(np.sum(trapezoid(np.sum(traces ** 2, axis=-1),
                                      dx=grid.ht)))
     if den == 0.0:
         return math.nan if num == 0.0 else math.inf
     return num / den
+
+
+def observability_ratio(result: SolveResult) -> float:
+    """Initial-data norm over boundary-trace norm.
+
+    nan marks the degenerate 0/0 case; inf is the witness of a vanishing
+    trace with nonzero initial data (observability failure).  It reads
+    only the initial row and the traces, which `MarchRecord` keeps.
+    """
+    return _trace_ratio(result.u.grid, result.u.values[0], result.traces)
+
+
+class MarchRecord:
+    """What the energy ledger and the observability ratio read of a march,
+    kept as `solve` passes it each block of time rows (its observer).
+
+    It keeps the initial row, both boundary traces, (2, nt, n) in SIDES
+    order, and with energy=True the energy of every time row, so neither
+    study holds a solution.  `ledger` and `observability_ratio` assemble
+    them through the code of the dense `energy_ledger` and
+    `observability_ratio`, with the same arithmetic on every number.
+    """
+
+    def __init__(self, scenario: Scenario, energy: bool = False):
+        grid = self.grid = scenario.grid
+        self.scenario = scenario
+        self.initial = None
+        self.traces = np.empty((2, grid.nt, scenario.n_comp))
+        self.energy = np.empty(grid.nt) if energy else None
+        self._wx = _trapezoid_weights(grid.nx, grid.hx)
+
+    def __call__(self, first: int, rows: np.ndarray) -> None:
+        """Keep what is needed of time rows first .. first + len(rows) - 1."""
+        if first == 0:
+            self.initial = rows[0].copy()
+        stop = first + len(rows)
+        self.traces[:, first:stop] = np.swapaxes(
+            rows[:, ::self.grid.nx - 1], 0, 1)
+        if self.energy is not None:
+            self.energy[first:stop] = _row_energies(rows, self._wx)
+
+    def ledger(self) -> EnergyLedger:
+        return _ledger(self.scenario, self.energy, self.traces)
+
+    def observability_ratio(self) -> float:
+        return _trace_ratio(self.grid, self.initial, self.traces)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BetaSelectionError, HypothesisRefusal
 from .fields import (
+    ROW_BLOCK,
     SIDES,
     Scenario,
     SpaceTimeGrid,
@@ -23,6 +24,7 @@ from .fields import (
     boundary_classes,
     boundary_flux,
     eig_bounds,
+    row_block,
 )
 
 
@@ -101,8 +103,27 @@ def weight_matrix(scenario: Scenario) -> np.ndarray:
     time-independent.
     """
     samples = scenario.samples
+    return _weight(scenario, samples.h0, samples.h1)
+
+
+def _weight(scenario: Scenario, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
-    return -scenario.beta * samples.h0 + etax * samples.h1
+    return -scenario.beta * h0 + etax * h1
+
+
+def _coercivity(name: str, scenario: Scenario, matrices,
+                margin: float) -> CoercivityCheck:
+    """Grid minimum of lambda_min(matrices(h0 rows, h1 rows)), formed
+    ROW_BLOCK time rows at a time, so a time-dependent coefficient's
+    matrices never exist for every node at once."""
+    h0, h1 = scenario.samples.h0, scenario.samples.h1
+    lmin = np.empty((max(len(h0), len(h1)), h0.shape[1]))
+    for k in range(0, len(lmin), ROW_BLOCK):
+        lmin[k:k + ROW_BLOCK] = eig_bounds(
+            matrices(*row_block((h0, h1), k)))[0]
+    value = float(lmin.min())
+    wx, wt = _argmin_node(lmin, scenario.grid)
+    return CoercivityCheck(name, value, value > margin, wx, wt)
 
 
 def check_weight_coercivity(scenario: Scenario,
@@ -115,21 +136,16 @@ def check_weight_coercivity(scenario: Scenario,
     sample grid nodes only; a positive `margin` guards against minima
     hiding between nodes of non-affine coefficients.
     """
-    lmin, _ = eig_bounds(weight_matrix(scenario))
-    value = float(lmin.min())
-    wx, wt = _argmin_node(lmin, scenario.grid)
-    return CoercivityCheck("weight_coercivity", value, value > margin, wx, wt)
+    return _coercivity("weight_coercivity", scenario,
+                       lambda h0, h1: _weight(scenario, h0, h1), margin)
 
 
 def check_eta_coercivity(scenario: Scenario,
                          margin: float = 0.0) -> CoercivityCheck:
     """Smallest eigenvalue of (d_x eta) h1 over all nodes (delta0)."""
-    grid = scenario.grid
-    etax = scenario.eta.derivative(grid.x)[None, :, None, None]
-    lmin, _ = eig_bounds(etax * scenario.samples.h1)
-    value = float(lmin.min())
-    wx, wt = _argmin_node(lmin, grid)
-    return CoercivityCheck("eta_coercivity", value, value > margin, wx, wt)
+    etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
+    return _coercivity("eta_coercivity", scenario,
+                       lambda h0, h1: etax * h1, margin)
 
 
 def check_h0_bounds(scenario: Scenario, margin: float = 0.0) -> H0BoundsCheck:

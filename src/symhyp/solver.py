@@ -14,7 +14,10 @@ into the bands of the boundary nodes (`_close_bands`).  Every node's band
 reads the seven nodes around it.  A step is then one banded product over
 zero-copy windows of the previous row, written straight into the next one;
 the march buffer keeps zeros between time rows, so no window overlaps the
-row being written.
+row being written.  The buffer holds the whole history for a SolveResult,
+or, when an observer is given, a ring of one block of rows that the
+observer reads block by block, so a study that needs only some numbers of
+each row never holds the solution.
 
 The target inequalities quantify over solutions without any boundary
 condition; a discrete marcher must impose some inflow closure, so solutions
@@ -28,6 +31,7 @@ provides the constant-speed scalar analytic solution used as an oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +46,7 @@ from .fields import (
     SeparableGridFunction,
     SpaceTimeGrid,
     central_derivative,
+    check_finite,
     check_same_grid,
 )
 
@@ -195,7 +200,8 @@ def _close_bands(bands: np.ndarray, fold: np.ndarray) -> None:
 
 
 def solve(scenario: Scenario, initial, inflow: dict | None = None,
-          cfl_factor: float = CFL_DEFAULT) -> SolveResult:
+          cfl_factor: float = CFL_DEFAULT,
+          observer=None) -> SolveResult | None:
     """March the system on the scenario grid.
 
     initial: array (nx, n) (or (nx,) for scalar systems) or callable of x.
@@ -203,6 +209,14 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     the full state vector whose incoming characteristic part is imposed;
     each is evaluated at every time node before the march, and missing
     sides default to zero data.
+    observer: optional callable observer(first, rows).  Without it the
+    march keeps every time row and returns a SolveResult.  With it the
+    march keeps a ring of BAND_ROWS + 1 rows (the carried row and one block
+    of new rows), passes time row 0 and then each block of new rows, time
+    nodes first .. first + len(rows) - 1, to the observer, and returns
+    None; rows is a view that the next block overwrites.  Each block is
+    refused before the observer sees it when it holds a non-finite value,
+    with the message of a GridFunction of the full history.
 
     The coefficients, the node speeds and the closure projectors are the
     scenario's sample set, shared by every call on the same scenario.
@@ -217,9 +231,10 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     boundary nodes included, is one linear map of the old one.  The
     entering inflow data and ht inv(h0) source are added where they exist,
     the source's share of nodes 1, 2 and -3, -2 through the same closure
-    map.  Static coefficients give one band row for the whole march;
-    time-dependent ones are banded BAND_ROWS time rows at a time, so no
-    stencil over all time rows is ever held.
+    map.  Static coefficients give one band row, built once for the whole
+    march; time-dependent ones are banded BAND_ROWS time rows at a time,
+    so no stencil over all time rows is ever held.  Both modes step
+    BAND_ROWS rows per block through the same loop.
     """
     grid = scenario.grid
     n = scenario.n_comp
@@ -241,8 +256,8 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
             f"x={float(grid.x[fast[1]])!r}, t={float(grid.t[fast[0]])!r}; "
             f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
 
-    # 1 unless a coefficient depends on t
-    rows = max(len(speeds), 1 if samples.p is None else len(samples.p))
+    # False when a coefficient depends on t
+    static = max(len(speeds), 1 if samples.p is None else len(samples.p)) == 1
     p_out, p_in = samples.closure
     # u_b = P_out (2 u_1 - u_2) at x_lo and P_out (2 u_-2 - u_-3) at x_hi,
     # as maps of the two adjacent nodes' flat state
@@ -256,44 +271,60 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
         np.broadcast_to(np.linalg.inv(samples.h0[:, 1:-1]),
                         (nt, nx - 2, n, n))
 
-    # the march lives in one flat buffer with 3n zeros before every time
-    # row and after the last: the nodes i - 3 .. i + 3 that output node i of
-    # row k + 1 reads lie in row k and the zeros on either side of it, so
-    # no step reads memory it writes, and every window and every row is a
-    # zero-copy view of the buffer
+    # the march lives in one flat buffer of `kept` time rows (all of them,
+    # or the ring) with 3n zeros before every row and after the last: the
+    # nodes i - 3 .. i + 3 that output node i of row k + 1 reads lie in row
+    # k and the zeros on either side of it, so no step reads memory it
+    # writes, and every window and every row is a zero-copy view of it
+    block = min(BAND_ROWS, nt - 1)
+    kept = nt if observer is None else block + 1
     size, stride, width = nx * n, (nx + 3) * n, 7 * n
-    buf = np.zeros(3 * n + nt * stride)
-    u = buf[3 * n:].reshape(nt, stride)[:, :size].reshape(nt, nx, n)
+    buf = np.zeros(3 * n + kept * stride)
+    u = buf[3 * n:].reshape(kept, stride)[:, :size].reshape(kept, nx, n)
     u[0] = _normalize_initial(initial, grid, n)
-    reads = sliding_window_view(buf, width)[:(nt - 1) * stride] \
-        .reshape(nt - 1, stride, width)[:, :size:n]
-    ends = u[:, ::nx - 1]  # both boundary nodes of every time row
+    reads = sliding_window_view(buf, width)[:(kept - 1) * stride] \
+        .reshape(kept - 1, stride, width)[:, :size:n]
     lam_c = ht / (2.0 * hx)
     tgrid = grid.t
 
-    block = BAND_ROWS if rows > 1 else nt - 1
-    space = np.zeros((1 if rows == 1 else min(block, nt - 1), nx, n, width))
+    space = np.zeros((1 if static else block, nx, n, width))
+    if static:
+        bands = _interior_bands(samples, 0, 1, lam_c, ht, space)
+        _close_bands(bands, fold)
+        steps = itertools.repeat(bands[0])
+    if observer is not None:
+        check_finite(u[:1])
+        observer(0, u[:1])
     for start in range(0, nt - 1, block):
         stop = min(start + block, nt - 1)
-        bands = _interior_bands(samples, start, stop, lam_c, ht, space)
-        # the closure at the new time of each step
-        _close_bands(bands, fold if fold.shape[1] == 1
-                     else fold[:, start + 1:stop + 1])
-        bands = np.broadcast_to(bands, (stop - start, nx, n, width))
-        for step in range(start, stop):
-            np.einsum("icq,iq->ic", bands[step - start], reads[step],
-                      out=u[step + 1])
+        if not static:
+            steps = _interior_bands(samples, start, stop, lam_c, ht, space)
+            # the closure at the new time of each step
+            _close_bands(steps, fold if fold.shape[1] == 1
+                         else fold[:, start + 1:stop + 1])
+        # the ring starts every block at its row 0
+        at = start if observer is None else 0
+        new = u[at + 1:at + 1 + stop - start]
+        for step, band, window, row in zip(range(start, stop), steps,
+                                           reads[at:], new):
+            np.einsum("icq,iq->ic", band, window, out=row)
             if inv_h0 is not None:
                 force = ht * np.einsum(
                     "iab,ib->ia", inv_h0[step],
                     scenario.source(grid.x, np.asarray(tgrid[step]))[1:-1])
-                u[step + 1, 1:-1] += force
+                row[1:-1] += force
                 near = np.stack([force[:2].ravel(), force[-2:].ravel()])
-                ends[step + 1] += (fold[:, min(step + 1, fold.shape[1] - 1)]
-                                   @ near[..., None])[..., 0]
+                row[::nx - 1] += (fold[:, min(step + 1, fold.shape[1] - 1)]
+                                  @ near[..., None])[..., 0]
             if entering is not None:
-                ends[step + 1] += entering[:, step + 1]
+                row[::nx - 1] += entering[:, step + 1]
+        if observer is not None:
+            check_finite(new, start + 1)
+            observer(start + 1, new)
+            u[0] = new[-1]
 
+    if observer is not None:
+        return None
     traces = np.stack([u[:, 0, :], u[:, -1, :]])
     return SolveResult(u=GridFunction(grid, u), traces=traces,
                        cfl_used=cfl_used, cfl_limit=cfl_factor)

@@ -241,6 +241,24 @@ class TestSolveOutputs:
             os.waitpid(-1, os.WNOHANG)
         assert os.listdir(out) == ["solution.csv"]
 
+    def test_repeated_columns_scanned_once(self, tmp_path, monkeypatch):
+        # solution.csv reuses its i and x column objects in every time row
+        scanned, quoted = [], cli._quoted
+
+        def counting(column, lone):
+            scanned.append(column)
+            return quoted(column, lone)
+
+        monkeypatch.setattr(cli, "_quoted", counting)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        nt = _check_solve(tmp_path, COUPLED)
+        # every scanned object is another one, since all are still held
+        assert len({id(col) for col in scanned}) == len(scanned)
+        # solution.csv: 6 header cells, i and x once, n, t, u_1 and u_2
+        # per time row; traces.csv: 4 header cells, then side, t, u_1 and
+        # u_2 of x_lo, and side, u_1 and u_2 of x_hi with t reused
+        assert len(scanned) == 6 + 2 + 4 * nt + 4 + 4 + 3
+
     def test_writer_holds_less_than_the_solution(self, tmp_path):
         cfg, scenario = _solve_setup(
             tmp_path, "scenario: coupled-varying\ngrid: {nx: 101}\nT: 0.5\n"

@@ -81,6 +81,24 @@ class TestSampleField:
             sample_field(bad, unit_grid)
         assert err.value.defect == 1.0
 
+    def test_asymmetry_read_from_every_pair(self, unit_grid):
+        # n = 3, time-dependent, a defect in each pair above and below the
+        # diagonal: the refusal reports the largest over nodes and pairs
+        def fn(x, t):
+            x, t = np.broadcast_arrays(x, t)
+            out = np.zeros(x.shape + (3, 3)) + np.eye(3)
+            out[..., 0, 1] = 1e-9 * x
+            out[..., 2, 0] = 3e-9 * t * x
+            out[..., 1, 2] = -2e-9 * t
+            return out
+
+        bad = SymMatrixField(3, fn, label="bad", time_independent=False)
+        with pytest.raises(AsymmetricFieldError,
+                           match="field bad symmetry defect 3.000e-09 "
+                                 "exceeds 1e-12") as err:
+            sample_field(bad, unit_grid)
+        assert err.value.defect == symmetry_defect(bad, unit_grid) == 3e-9
+
     def test_asymmetric_literal_rejected_early(self):
         with pytest.raises(AsymmetricFieldError):
             SymMatrixField.constant([[0.0, 1.0], [0.0, 0.0]])

@@ -1,6 +1,7 @@
 """Hypothesis checks: analytic constants, boundary partition, beta selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from symhyp import (
     BetaSelectionError,
     BoundaryLabel,
+    Scenario,
     SpaceTimeGrid,
     SpatialWeight,
+    SymMatrixField,
     build_scenario,
     check_eta_coercivity,
     check_h0_bounds,
@@ -19,9 +22,12 @@ from symhyp import (
     check_weight_coercivity,
     classify_boundary,
     classify_boundary_series,
+    eig_bounds,
     minimal_time,
     select_beta,
 )
+from symhyp.fields import ROW_BLOCK
+from symhyp.hypotheses import weight_matrix
 
 from conftest import scalar_scenario, system_scenario
 
@@ -239,3 +245,59 @@ class TestHypothesisReport:
             report = check_hypotheses(build_scenario(name, nx=51))
             if report.verdicts["h0_bounds"]:
                 assert report.delta1 <= report.M
+
+
+class TestTimeDependentSamples:
+    """h0 = I, h1 = [[2 + x + 0.5 sin 4t, 1], [1, 2]] on 101 x 1601 nodes,
+    T = 2: 5.2 MB of h1 samples, whose eigenvalues are smallest where
+    sin 4t = -1, at t = 3 pi / 8, past the first ROW_BLOCK rows."""
+
+    @staticmethod
+    def scenario():
+        # written entry by entry, so that the field's own temporaries stay
+        # below those of sampling
+        def h1(x, t):
+            out = np.empty(np.broadcast_shapes(x.shape, t.shape) + (2, 2))
+            out[..., 0, 0] = 2.0 + x + 0.5 * np.sin(4.0 * t)
+            out[..., 0, 1] = out[..., 1, 0] = 1.0
+            out[..., 1, 1] = 2.0
+            return out
+
+        return Scenario(name="timedep-h1",
+                        grid=SpaceTimeGrid(0.0, 1.0, 2.0, 101, 1601),
+                        n_comp=2, h0=SymMatrixField.constant(np.eye(2)),
+                        h1=SymMatrixField(2, h1, time_independent=False),
+                        eta=SpatialWeight.linear(1.0), beta=0.5)
+
+    def test_row_blocks_match_every_node_at_once(self):
+        sc = self.scenario()
+        etax = sc.eta.derivative(sc.grid.x)[None, :, None, None]
+        for check, mats in ((check_weight_coercivity, weight_matrix(sc)),
+                            (check_eta_coercivity, etax * sc.samples.h1)):
+            res = check(sc)
+            lmin = eig_bounds(mats)[0]
+            n, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
+            assert n > 3 * ROW_BLOCK
+            assert res.value == float(lmin.min())
+            assert (res.worst_x, res.worst_t) == sc.grid.node(int(i), int(n))
+
+    def test_sampling_and_checks_bound_their_temporaries(self):
+        # sampling may add two arrays of one entry's samples, a quarter of
+        # h1 each; the checks hold their eigenvalue bounds and one row
+        # block's matrices.  Forming the defect and the checks over every
+        # node at once peaked at 3.0 and 2.25 times the h1 samples
+        sc = self.scenario()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h1 = sc.samples.h1
+            sampled = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = check_hypotheses(sc)
+            checked = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert sampled < 1.6 * h1.nbytes, (sampled, h1.nbytes)
+        assert checked < 0.75 * h1.nbytes, (checked, h1.nbytes)

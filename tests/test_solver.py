@@ -29,16 +29,21 @@ from symhyp import (
     VectorField,
     admissible_time_nodes,
     build_scenario,
+    energy_ledger,
+    estimate_observability,
     exact_transport,
     max_char_speed,
+    observability_ratio,
     parse_config,
     residual,
     resolve_scenario,
     solve,
+    verify_energy_estimate,
 )
 from symhyp import fields
 from symhyp.catalog import CatalogEntry
 from symhyp.fields import SPEED_TOL, _closure_projectors
+from symhyp.functionals import MarchRecord
 from symhyp.solver import BAND_ROWS, _inflow_data, _normalize_initial
 
 import test_functionals
@@ -477,6 +482,109 @@ class TestBandedStep:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * res.u.values.nbytes, (peak, res.u.values.nbytes)
+
+
+def _observed_cases():
+    """MARCHED plus grids whose nt - 1 is below BAND_ROWS, equal to it and
+    not a multiple of it, for static and time-dependent coefficients."""
+    cases = dict(MARCHED)
+    static = build_scenario("coupled-varying", nx=41, t_final=0.2)
+    pulsing = MARCHED["pulsing"][0]
+    for steps in (BAND_ROWS - 1, BAND_ROWS, 2 * BAND_ROWS + 11):
+        for name, sc in (("static", static), ("pulsing", pulsing)):
+            sc = sc.with_grid(replace(sc.grid, nt=steps + 1))
+            cases[f"{name}-{steps}-steps"] = (
+                sc, fields.random_initial_profile(sc.grid, sc.n_comp,
+                                                  seed=steps), None)
+    return cases
+
+
+OBSERVED = _observed_cases()
+
+
+class TestObservedMarch:
+    """solve with an observer keeps a ring of time rows; what the studies
+    read of it must equal what they read of the full history, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(OBSERVED))
+    def test_matches_full_history(self, name):
+        sc, u0, inflow = OBSERVED[name]
+        full = solve(sc, u0, inflow=inflow)
+        record = MarchRecord(sc, energy=True)
+        assert solve(sc, u0, inflow=inflow, observer=record) is None
+        assert np.array_equal(record.traces, full.traces)
+        assert np.array_equal(record.initial, full.u.values[0])
+        dense, observed = energy_ledger(full, sc), record.ledger()
+        assert np.array_equal(observed.energy, dense.energy)
+        assert np.array_equal(observed.lemma_lhs, dense.lemma_lhs)
+        assert observed.rhs_core == dense.rhs_core
+        assert observed.max_ratio == dense.max_ratio
+        assert record.observability_ratio() == observability_ratio(full)
+
+    def test_observer_sees_every_row_once_in_ring_blocks(self):
+        sc, u0, _ = OBSERVED["static-139-steps"]
+        seen = []
+        solve(sc, u0, observer=lambda first, rows: seen.append(
+            (first, len(rows), rows.base is not None)))
+        assert seen == [(0, 1, True), (1, BAND_ROWS, True),
+                        (1 + BAND_ROWS, BAND_ROWS, True),
+                        (1 + 2 * BAND_ROWS, 11, True)]
+
+    @staticmethod
+    def _nan_data(sc):
+        u0 = fields.random_initial_profile(sc.grid, sc.n_comp, seed=1)
+        u0[5, 1] = np.nan
+        return u0
+
+    def test_non_finite_initial_data_refused_in_both_modes(self):
+        sc = build_scenario("coupled-varying", nx=21, t_final=0.5)
+        u0 = self._nan_data(sc)
+        match = r"non-finite sample at node \(i=5, n=0\), component 1"
+        for observer in (None, MarchRecord(sc)):
+            with pytest.raises(FieldEvaluationError, match=match):
+                solve(sc, u0, observer=observer)
+        for study in (estimate_observability, verify_energy_estimate):
+            with pytest.raises(FieldEvaluationError, match=match):
+                study(sc, members=[u0])
+
+    def test_overflow_refused_at_the_same_node_in_both_modes(self):
+        # p = -1000 I grows the state about 7.8 times a step, so data of
+        # size 1e250 overflows in the second ring block of 73 steps: the
+        # ring must name the first infinite node in time order, as the full
+        # history does
+        sc = replace(build_scenario("coupled-varying", nx=21, t_final=0.5),
+                     p=MatrixField.constant(-1000.0 * np.eye(2)))
+        u0 = 1e250 * fields.random_initial_profile(sc.grid, 2, seed=1)
+        messages = []
+        for observer in (None, MarchRecord(sc)):
+            with pytest.raises(FieldEvaluationError) as err:
+                solve(sc, u0, observer=observer)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        node = int(messages[0].split("n=")[1].split(")")[0])
+        assert BAND_ROWS < node < sc.grid.nt
+
+    def test_energy_study_holds_no_solution(self):
+        # the benchmark's energy-march config; one refined solution is
+        # 2,897 x 201 x 2 doubles, 9.3 MB
+        cfg = parse_config("scenario: coupled-varying\n"
+                           "grid: {nx: 101, nt: auto}\nT: 2.0\n"
+                           "ensemble: {size: 8}\n"
+                           "initial: {kind: random, modes: 3}\n")
+        sc, _ = resolve_scenario(cfg)
+        fine = sc.grid.refined()
+        solution_bytes = fine.nt * fine.nx * sc.n_comp * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = verify_energy_estimate(sc, ensemble=cfg.ensemble,
+                                            seed=cfg.seed, modes=3,
+                                            refine=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(report.ratios_fine) == cfg.ensemble
+        assert peak < solution_bytes, (peak, solution_bytes)
 
 
 class TestClosureProjectors:
