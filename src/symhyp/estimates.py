@@ -240,6 +240,16 @@ def _homogeneous(scenario: Scenario) -> Scenario:
         else scenario
 
 
+def _march_pass(scenario: Scenario, members, cfl_factor: float,
+                energy: bool = False):
+    """One `solve` per member into its own `MarchRecord`, each record
+    yielded when its march ends."""
+    for u0 in members:
+        record = MarchRecord(scenario, energy=energy)
+        solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
+        yield record
+
+
 def estimate_observability(scenario: Scenario, ensemble: int = 20,
                            seed: int = 0, initial_kind: str = "random",
                            modes: int = 3, decay: float = 2.0,
@@ -278,11 +288,8 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         else:
             raise ValueError(f"unknown initial_kind {initial_kind!r}")
 
-    ratios = []
-    for u0 in members:
-        record = MarchRecord(scenario)
-        solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
-        ratios.append(record.observability_ratio())
+    ratios = [record.observability_ratio()
+              for record in _march_pass(scenario, members, cfl_factor)]
 
     # ratios are >= 0, so the largest usable one is finite exactly when
     # there is one and every usable ratio is finite
@@ -321,15 +328,6 @@ class EnergyEstimateReport:
         return math.isfinite(self.c_energy)
 
 
-def _energy_pass(scenario: Scenario, members, cfl_factor: float):
-    ratios = []
-    for u0 in members:
-        record = MarchRecord(scenario, energy=True)
-        solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
-        ratios.append(record.ledger().max_ratio)
-    return ratios
-
-
 def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,
                            seed: int = 0, modes: int = 3, decay: float = 2.0,
                            cfl_factor: float = CFL_DEFAULT,
@@ -347,7 +345,9 @@ def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,
         scenario, members, ensemble,
         make_member=lambda grid, i: random_initial_profile(
             grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
-        run_pass=lambda sc, ms: _energy_pass(sc, ms, cfl_factor),
+        run_pass=lambda sc, ms: [
+            record.ledger().max_ratio
+            for record in _march_pass(sc, ms, cfl_factor, energy=True)],
         constant=_usable_max, refine=refine)
     return EnergyEstimateReport(
         scenario=scenario.name, ratios=tuple(ratios),

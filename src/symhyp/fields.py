@@ -387,12 +387,7 @@ def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
             f"field {field.label or '<unnamed>'} non-finite at node "
             f"(i={bad[1]}, n={bad[0]}), x={xi}, t={tn}")
     if isinstance(field, SymMatrixField):
-        # one pair (a, b) above the diagonal at a time, so no temporary is
-        # larger than one entry's samples
-        n = field.n_comp
-        defect = max((float(np.max(np.abs(vals[..., a, b] - vals[..., b, a])))
-                      for a in range(n) for b in range(a + 1, n)),
-                     default=0.0)
+        defect = _asymmetry(vals)
         if defect > SYMMETRY_TOL:
             raise AsymmetricFieldError(
                 f"field {field.label or '<unnamed>'} symmetry defect "
@@ -403,8 +398,16 @@ def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
 def symmetry_defect(field: MatrixField, grid: SpaceTimeGrid) -> float:
     """max_ij |M_ij - M_ji| over all grid nodes, without raising."""
     x, t = grid.meshgrid()
-    vals = field(x, t)
-    return float(np.max(np.abs(vals - np.swapaxes(vals, -1, -2))))
+    return _asymmetry(field(x, t))
+
+
+def _asymmetry(vals: np.ndarray) -> float:
+    """max |M_ab - M_ba| over samples (..., n, n), one pair above the
+    diagonal at a time, so no temporary is larger than one entry's samples."""
+    n = vals.shape[-1]
+    return float(np.max([np.max(np.abs(vals[..., a, b] - vals[..., b, a]))
+                         for a in range(n) for b in range(a + 1, n)],
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +555,10 @@ class SpatialWeight:
 ROW_BLOCK = 256
 
 
-def row_block(samples, k: int) -> list[np.ndarray]:
-    """Time rows k .. k + ROW_BLOCK - 1 of each sample array; a one-row
+def row_block(arrays, start: int, stop: int) -> list[np.ndarray]:
+    """Time rows start .. stop - 1 of each sample array; a one-row
     (time-independent) array is passed whole, to be broadcast."""
-    return [arr if len(arr) == 1 else arr[k:k + ROW_BLOCK] for arr in samples]
+    return [arr if len(arr) == 1 else arr[start:stop] for arr in arrays]
 
 
 class GridSamples:
@@ -606,7 +609,7 @@ class GridSamples:
         speeds = np.empty((max(len(h0), len(h1)), h0.shape[1]))
         for k in range(0, len(speeds), ROW_BLOCK):
             speeds[k:k + ROW_BLOCK] = _char_speeds(
-                *row_block((h0, h1), k), linv)
+                *row_block((h0, h1), k, k + ROW_BLOCK), linv)
         speeds.flags.writeable = False
         return speeds
 

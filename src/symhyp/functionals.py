@@ -26,7 +26,7 @@ from .fields import (
     sample_field,
 )
 from .hypotheses import weight_matrix
-from .solver import SolveResult
+from .solver import SolveResult, _principal
 
 
 @dataclass(frozen=True)
@@ -333,16 +333,8 @@ def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
     egrow = np.exp(s * shift)[..., None]
     edecay = np.exp(-s * shift)[..., None]
     w = egrow * u.values
-
-    def principal(vals):
-        vt = central_derivative(vals, "t", grid)
-        vx = central_derivative(vals, "x", grid)
-        return (np.einsum("txab,txb->txa", samples.h0, vt)
-                + np.einsum("txab,txb->txa", samples.h1, vx))
-
-    lhs = egrow * principal(edecay * w)
-
-    rhs = (principal(w)
+    lhs = egrow * _principal(samples, edecay * w, grid)
+    rhs = (_principal(samples, w, grid)
            - s * np.einsum("txab,txb->txa", weight_matrix(scenario), w))
 
     return float(np.max(np.abs((lhs - rhs)[1:-1, 1:-1])))

@@ -120,7 +120,7 @@ def _coercivity(name: str, scenario: Scenario, matrices,
     lmin = np.empty((max(len(h0), len(h1)), h0.shape[1]))
     for k in range(0, len(lmin), ROW_BLOCK):
         lmin[k:k + ROW_BLOCK] = eig_bounds(
-            matrices(*row_block((h0, h1), k)))[0]
+            matrices(*row_block((h0, h1), k, k + ROW_BLOCK)))[0]
     value = float(lmin.min())
     wx, wt = _argmin_node(lmin, scenario.grid)
     return CoercivityCheck(name, value, value > margin, wx, wt)

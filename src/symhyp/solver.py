@@ -14,10 +14,9 @@ into the bands of the boundary nodes (`_close_bands`).  Every node's band
 reads the seven nodes around it.  A step is then one banded product over
 zero-copy windows of the previous row, written straight into the next one;
 the march buffer keeps zeros between time rows, so no window overlaps the
-row being written.  The buffer holds the whole history for a SolveResult,
-or, when an observer is given, a ring of one block of rows that the
-observer reads block by block, so a study that needs only some numbers of
-each row never holds the solution.
+row being written.  The buffer is a ring of one block of rows, passed to an
+observer block by block, so a study that needs only some numbers of each
+row never holds the solution; a SolveResult is one such observer's copy.
 
 The target inequalities quantify over solutions without any boundary
 condition; a discrete marcher must impose some inflow closure, so solutions
@@ -31,7 +30,6 @@ provides the constant-speed scalar analytic solution used as an oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +46,7 @@ from .fields import (
     central_derivative,
     check_finite,
     check_same_grid,
+    row_block,
 )
 
 CFL_DEFAULT = 0.5
@@ -149,14 +148,12 @@ def _interior_bands(samples, start: int, stop: int, lam_c: float,
     buffer serves a whole march.  A time-independent sample contributes its
     one row; the result is out[:rows] with rows 1 when nothing depends on t.
     """
-    def rows(arr):
-        return arr if len(arr) == 1 else arr[start:stop]
-
-    inv_h0 = np.linalg.inv(rows(samples.h0)[:, 1:-1])
-    coef = lam_c * (inv_h0 @ rows(samples.h1)[:, 1:-1])
+    h0, h1, face = row_block((samples.h0, samples.h1, samples.speeds),
+                             start, stop)
+    inv_h0 = np.linalg.inv(h0[:, 1:-1])
+    coef = lam_c * (inv_h0 @ h1[:, 1:-1])
     low = None if samples.p is None else \
-        ht * (inv_h0 @ rows(samples.p)[:, 1:-1])
-    face = rows(samples.speeds)
+        ht * (inv_h0 @ row_block((samples.p,), start, stop)[0][:, 1:-1])
     face = lam_c * np.maximum(face[:, :-1], face[:, 1:])
     a_l, a_r = face[:, :-1], face[:, 1:]
     mid = 1.0 - (a_r + a_l)
@@ -209,14 +206,14 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     the full state vector whose incoming characteristic part is imposed;
     each is evaluated at every time node before the march, and missing
     sides default to zero data.
-    observer: optional callable observer(first, rows).  Without it the
-    march keeps every time row and returns a SolveResult.  With it the
-    march keeps a ring of BAND_ROWS + 1 rows (the carried row and one block
-    of new rows), passes time row 0 and then each block of new rows, time
-    nodes first .. first + len(rows) - 1, to the observer, and returns
-    None; rows is a view that the next block overwrites.  Each block is
-    refused before the observer sees it when it holds a non-finite value,
-    with the message of a GridFunction of the full history.
+    observer: optional callable observer(first, rows).  The march keeps a
+    ring of BAND_ROWS + 1 rows, the carried row and one block of new rows,
+    passes time row 0 and then each block of new rows (time nodes first ..
+    first + len(rows) - 1, a view the next block overwrites) to the
+    observer, and returns None.  Without an observer, solve copies every
+    block into the history of the SolveResult it returns.  A block holding
+    a non-finite value is refused before any observer sees it, with the
+    message of a GridFunction of the full history.
 
     The coefficients, the node speeds and the closure projectors are the
     scenario's sample set, shared by every call on the same scenario.
@@ -231,10 +228,10 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     boundary nodes included, is one linear map of the old one.  The
     entering inflow data and ht inv(h0) source are added where they exist,
     the source's share of nodes 1, 2 and -3, -2 through the same closure
-    map.  Static coefficients give one band row, built once for the whole
-    march; time-dependent ones are banded BAND_ROWS time rows at a time,
-    so no stencil over all time rows is ever held.  Both modes step
-    BAND_ROWS rows per block through the same loop.
+    map.  Bands are built at the start of a block: for static coefficients
+    at the first block only, one row broadcast over every block; for
+    time-dependent ones at every block, BAND_ROWS time rows at a time, so
+    no stencil over all time rows is ever held.
     """
     grid = scenario.grid
     n = scenario.n_comp
@@ -271,42 +268,43 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
         np.broadcast_to(np.linalg.inv(samples.h0[:, 1:-1]),
                         (nt, nx - 2, n, n))
 
-    # the march lives in one flat buffer of `kept` time rows (all of them,
-    # or the ring) with 3n zeros before every row and after the last: the
-    # nodes i - 3 .. i + 3 that output node i of row k + 1 reads lie in row
-    # k and the zeros on either side of it, so no step reads memory it
-    # writes, and every window and every row is a zero-copy view of it
+    history = None
+    if observer is None:
+        history = np.empty((nt, nx, n))
+
+        def observer(first, rows):
+            history[first:first + len(rows)] = rows
+
+    # the march lives in a flat ring of block + 1 time rows with 3n zeros
+    # before every row and after the last: the nodes i - 3 .. i + 3 that
+    # output node i of row k + 1 reads lie in row k and the zeros on either
+    # side of it, so no step reads memory it writes, and every window and
+    # every row is a zero-copy view of it
     block = min(BAND_ROWS, nt - 1)
-    kept = nt if observer is None else block + 1
     size, stride, width = nx * n, (nx + 3) * n, 7 * n
-    buf = np.zeros(3 * n + kept * stride)
-    u = buf[3 * n:].reshape(kept, stride)[:, :size].reshape(kept, nx, n)
+    buf = np.zeros(3 * n + (block + 1) * stride)
+    u = buf[3 * n:].reshape(block + 1, stride)[:, :size] \
+        .reshape(block + 1, nx, n)
     u[0] = _normalize_initial(initial, grid, n)
-    reads = sliding_window_view(buf, width)[:(kept - 1) * stride] \
-        .reshape(kept - 1, stride, width)[:, :size:n]
+    reads = sliding_window_view(buf, width)[:block * stride] \
+        .reshape(block, stride, width)[:, :size:n]
     lam_c = ht / (2.0 * hx)
     tgrid = grid.t
 
     space = np.zeros((1 if static else block, nx, n, width))
-    if static:
-        bands = _interior_bands(samples, 0, 1, lam_c, ht, space)
-        _close_bands(bands, fold)
-        steps = itertools.repeat(bands[0])
-    if observer is not None:
-        check_finite(u[:1])
-        observer(0, u[:1])
+    check_finite(u[:1])
+    observer(0, u[:1])
     for start in range(0, nt - 1, block):
         stop = min(start + block, nt - 1)
-        if not static:
-            steps = _interior_bands(samples, start, stop, lam_c, ht, space)
+        if start == 0 or not static:
+            bands = _interior_bands(samples, start, stop, lam_c, ht, space)
             # the closure at the new time of each step
-            _close_bands(steps, fold if fold.shape[1] == 1
+            _close_bands(bands, fold if fold.shape[1] == 1
                          else fold[:, start + 1:stop + 1])
-        # the ring starts every block at its row 0
-        at = start if observer is None else 0
-        new = u[at + 1:at + 1 + stop - start]
+        new = u[1:1 + stop - start]
+        steps = np.broadcast_to(bands, (len(new),) + bands.shape[1:])
         for step, band, window, row in zip(range(start, stop), steps,
-                                           reads[at:], new):
+                                           reads, new):
             np.einsum("icq,iq->ic", band, window, out=row)
             if inv_h0 is not None:
                 force = ht * np.einsum(
@@ -318,16 +316,24 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
                                   @ near[..., None])[..., 0]
             if entering is not None:
                 row[::nx - 1] += entering[:, step + 1]
-        if observer is not None:
-            check_finite(new, start + 1)
-            observer(start + 1, new)
-            u[0] = new[-1]
+        check_finite(new, start + 1)
+        observer(start + 1, new)
+        u[0] = new[-1]
 
-    if observer is not None:
+    if history is None:
         return None
-    traces = np.stack([u[:, 0, :], u[:, -1, :]])
-    return SolveResult(u=GridFunction(grid, u), traces=traces,
+    values = GridFunction(grid, history)
+    return SolveResult(u=values, traces=values.boundary_columns(),
                        cfl_used=cfl_used, cfl_limit=cfl_factor)
+
+
+def _principal(samples, vals: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """h0 D_t v + h1 D_x v on dense samples (nt, nx, n): the principal part
+    that `residual` and `functionals.conjugation_defect` share."""
+    vt = central_derivative(vals, "t", grid)
+    vx = central_derivative(vals, "x", grid)
+    return (np.einsum("txab,txb->txa", samples.h0, vt)
+            + np.einsum("txab,txb->txa", samples.h1, vx))
 
 
 def residual(u: GridFunction | SeparableGridFunction,
@@ -358,10 +364,7 @@ def residual(u: GridFunction | SeparableGridFunction,
             return SeparableGridFunction(
                 grid, x_factor, np.hstack([ut.t_factor, u.t_factor]))
         u = u.materialize()
-    ut = central_derivative(u.values, "t", grid)
-    ux = central_derivative(u.values, "x", grid)
-    out = (np.einsum("txab,txb->txa", samples.h0, ut)
-           + np.einsum("txab,txb->txa", samples.h1, ux))
+    out = _principal(samples, u.values, grid)
     if samples.p is not None:
         out = out + np.einsum("txab,txb->txa", samples.p, u.values)
     return GridFunction(grid, out)

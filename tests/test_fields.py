@@ -99,6 +99,24 @@ class TestSampleField:
             sample_field(bad, unit_grid)
         assert err.value.defect == symmetry_defect(bad, unit_grid) == 3e-9
 
+    def test_symmetry_defect_holds_no_full_difference(self):
+        # samples made before tracing, so the peak is what the defect adds:
+        # one pair's difference at a time, where |M - M^T| over the whole
+        # stack took twice the samples
+        grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 401)
+        vals = np.zeros(grid.shape + (3, 3)) + np.eye(3)
+        vals[..., 1, 2] = 2e-9 * grid.meshgrid()[1]
+        field = MatrixField(3, lambda x, t: vals, time_independent=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            defect = symmetry_defect(field, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert defect == 2e-9
+        assert peak < vals.nbytes, (peak, vals.nbytes)
+
     def test_asymmetric_literal_rejected_early(self):
         with pytest.raises(AsymmetricFieldError):
             SymMatrixField.constant([[0.0, 1.0], [0.0, 0.0]])

@@ -1,6 +1,7 @@
 """Time stepper: oracles, conservation properties, refusals, linearity."""
 
 import importlib
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -40,7 +41,7 @@ from symhyp import (
     solve,
     verify_energy_estimate,
 )
-from symhyp import fields
+from symhyp import fields, solver
 from symhyp.catalog import CatalogEntry
 from symhyp.fields import SPEED_TOL, _closure_projectors
 from symhyp.functionals import MarchRecord
@@ -520,6 +521,36 @@ class TestObservedMarch:
         assert observed.rhs_core == dense.rhs_core
         assert observed.max_ratio == dense.max_ratio
         assert record.observability_ratio() == observability_ratio(full)
+
+    @pytest.mark.parametrize("name, static", [
+        ("static-139-steps", True), ("source-inflow", True),
+        ("pulsing-139-steps", False), ("wobbling", False),
+        ("breathing-h0-source", False)])
+    def test_bands_built_once_unless_time_dependent(self, name, static,
+                                                    monkeypatch):
+        # static bands are built at the first block and reused by every
+        # later one: rebuilding them per block adds about a fifth to a march
+        sc, u0, inflow = OBSERVED[name]
+        blocks = math.ceil((sc.grid.nt - 1) / BAND_ROWS)
+        assert blocks >= 3
+        built = []
+        interior_bands = solver._interior_bands
+
+        def counting(samples, start, stop, *rest):
+            built.append((start, stop))
+            return interior_bands(samples, start, stop, *rest)
+
+        monkeypatch.setattr(solver, "_interior_bands", counting)
+        for observer in (None, MarchRecord(sc)):
+            built.clear()
+            solve(sc, u0, inflow=inflow, observer=observer)
+            if static:
+                assert len(built) == 1
+            else:
+                assert built == [
+                    (k, min(k + BAND_ROWS, sc.grid.nt - 1))
+                    for k in range(0, sc.grid.nt - 1, BAND_ROWS)]
+                assert len(built) == blocks
 
     def test_observer_sees_every_row_once_in_ring_blocks(self):
         sc, u0, _ = OBSERVED["static-139-steps"]
