@@ -3,15 +3,16 @@
 Verbs: check | solve | carleman | observe | energy | identities | scenarios.
 Each experiment verb reads a YAML config (--config), applies flag overrides,
 prints a summary to stdout, and writes CSV artifacts into the output
-directory: cells are formatted a column at a time, floats by `repr` (full
-round-trip precision), and `solution.csv` is formatted one time row at a
-time, in contiguous ranges of time rows split across processes: one per
-usable CPU, each with at least MIN_CELLS_PER_PROCESS cells, so a small
-table stays in one process.  The split does not change the bytes.  Exit
-status is 0 only when every executed check passed; a hypothesis
-refusal or an invariant violation exits 1, configuration errors exit 2.
-Outputs carry no timestamps, so identical config + seed reproduces identical
-bytes.
+directory: cells are formatted a column at a time by `_column`, floats by
+`repr` (full round-trip precision), integers by `str`, and text quoted as
+`csv.writer` quotes a field, so the writer only joins cells into lines.
+`solution.csv` is formatted one time row at a time, in contiguous ranges
+of time rows split across processes: one per usable CPU, each with at least
+MIN_CELLS_PER_PROCESS cells, so a small table stays in one process.  The
+split does not change the bytes.  Exit status is 0 only when every executed
+check passed; a hypothesis refusal or an invariant violation exits 1,
+configuration errors exit 2.  Outputs carry no timestamps, so identical
+config + seed reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -67,13 +68,25 @@ VERB_EXPERIMENTS = {
 }
 
 
+def _text(cell: str) -> str:
+    """A text cell as csv.writer's minimal quoting writes it: unchanged
+    without a delimiter, quote or line break, else by csv.writer itself."""
+    if not any(ch in cell for ch in ',"\r\n'):
+        return cell
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerow((cell, ""))
+    return fh.getvalue()[:-2]  # the empty field's "," and the "\n"
+
+
 def _column(values) -> list[str]:
-    """One CSV column as text: floats by repr, everything else by str."""
+    """One CSV column as cell text: floats by repr, integers by str, and
+    any other value by str, quoted as csv.writer quotes a field."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return list(map(repr, values.tolist()))
     # float() first: numpy 2 scalars repr as "np.float64(...)"
-    return [repr(float(v)) if isinstance(v, float) else str(v)
-            for v in values]
+    return [repr(float(v)) if isinstance(v, float)
+            else str(v) if isinstance(v, int)
+            else _text(str(v)) for v in values]
 
 
 def _fmt(value) -> str:
@@ -86,52 +99,12 @@ def _table(rows) -> list[list[list[str]]]:
     return [[_column(col) for col in zip(*rows)]]
 
 
-#: characters that can make csv.writer quote a cell: its delimiter, its
-#: quote character and line breaks
-_QUOTE_TRIGGERS = (",", '"', "\r", "\n")
-
-
-def _quoted(column: list[str], lone: bool) -> list[str]:
-    """A text column as csv.writer's minimal quoting writes its cells.
-
-    A column without a delimiter, quote or line break passes unchanged,
-    unless it is the lone column of its rows and has an empty cell (a
-    one-field row of "" is written quoted).  Any other column goes cell by
-    cell through csv.writer itself, next to an empty field when not lone.
-    """
-    text = "".join(column)
-    if not any(ch in text for ch in _QUOTE_TRIGGERS) and \
-            not (lone and "" in column):
-        return column
-    fh = io.StringIO()
-    writer = csv.writer(fh, lineterminator="\n")
-    cells = []
-    for cell in column:
-        fh.seek(0)
-        fh.truncate()
-        row = (cell,) if lone else (cell, "")
-        writer.writerow(row)
-        # strip the row's trailing "," (when not lone) and "\n"
-        cells.append(fh.getvalue()[:-len(row)])
-    return cells
-
-
 def _write_blocks(fh, blocks) -> None:
-    """Write each block of equal-length text columns as CSV lines.
-
-    A column object that the previous block also held (solution.csv's i
-    and x columns, in every time row) is quoted once, so no column may
-    change while its table is written.
-    """
-    quoted = {}  # (id, lone) -> (column, quoted column) of the last block
+    """Write each block of equal-length cell-text columns as CSV lines."""
     for columns in blocks:
-        lone = len(columns) == 1
-        # the previous block's columns stay referenced until this block's
-        # are in, so no id kept here can name a new object
-        quoted = {(id(col), lone): quoted.get((id(col), lone))
-                  or (col, _quoted(col, lone)) for col in columns}
-        lines = list(map(",".join, zip(
-            *(quoted[id(col), lone][1] for col in columns), strict=True)))
+        if len(columns) == 1:  # csv.writer quotes a row's one empty field
+            columns = [[cell or '""' for cell in columns[0]]]
+        lines = list(map(",".join, zip(*columns, strict=True)))
         if lines:
             fh.write("\n".join(lines))
             fh.write("\n")
@@ -161,15 +134,17 @@ def _usable_cpus() -> int:
 
 
 def _write_csv(path: Path, header, blocks, cells: int = 0) -> None:
-    """Write the header, then each block of equal-length text columns.
+    """Write the header, then each block of equal-length columns of cell
+    text, as `_column` makes them.
 
-    The bytes are those of csv.writer with lineterminator "\n"; a generator
-    of blocks streams the table one block at a time.  `cells`, when given,
-    is the table's cell count and `blocks` a sequence: its contiguous
-    ranges of blocks are then formatted in up to one process per usable
-    CPU, each with at least MIN_CELLS_PER_PROCESS cells.
+    The bytes are those of csv.writer with lineterminator "\n": a text
+    cell comes quoted from `_column`, and the writer only joins cells into
+    lines.  A generator of blocks streams the table one block at a time.
+    `cells`, when given, is the table's cell count and `blocks` a sequence:
+    its contiguous ranges of blocks are then formatted in up to one process
+    per usable CPU, each with at least MIN_CELLS_PER_PROCESS cells.
     """
-    head = [[name] for name in header]
+    head = [[name] for name in _column(header)]
     procs = min(_usable_cpus(), cells // MIN_CELLS_PER_PROCESS,
                 len(blocks)) if cells else 1
     with open(path, "w", newline="") as fh:
@@ -281,7 +256,7 @@ def _run_solve(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
                    *map(_column, values[n].T)), grid.nt),
         cells=grid.nt * grid.nx * len(header))
     _write_csv(out / "traces.csv", ("side", "t", *comp_cols),
-               [([side] * grid.nt, t_col, *map(_column, trace.T))
+               [(_column((side,)) * grid.nt, t_col, *map(_column, trace.T))
                 for side, trace in zip(SIDES, result.traces)])
     print(f"solve: scheme={result.scheme} cfl_used={result.cfl_used!r} "
           f"cfl_limit={result.cfl_limit!r}")
@@ -351,7 +326,7 @@ def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     m = len(report.ratios)
     _write_csv(out / "energy.csv",
                ("scenario", "member", "max_ratio", "max_ratio_refined"),
-               [[[report.scenario] * m, _column(range(m)),
+               [[_column((report.scenario,)) * m, _column(range(m)),
                  _column(report.ratios),
                  _column(report.ratios_fine or (math.nan,) * m)]])
     print(f"energy: scenario={report.scenario} ensemble={len(report.ratios)} "
@@ -367,23 +342,20 @@ def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
 
 
 def _run_identities(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
-    fine_scenario = scenario.with_grid(scenario.grid.refined())
-    w = random_smooth_gridfunction(scenario.grid, scenario.n_comp, cfg.seed,
-                                   modes=cfg.modes, decay=cfg.decay)
-    w_fine = random_smooth_gridfunction(fine_scenario.grid, scenario.n_comp,
-                                        cfg.seed, modes=cfg.modes,
-                                        decay=cfg.decay)
-    rows = []
-    for axis, r_field in (("x", scenario.h1), ("t", scenario.h0)):
-        coarse = ibp_identity_defect(r_field, w, axis)
-        fine = ibp_identity_defect(r_field, w_fine, axis)
-        rows.append(("ibp", axis, coarse, fine,
-                     coarse / fine if fine else math.inf))
-    for s in cfg.s_grid:
-        coarse = conjugation_defect(w, scenario, s)
-        fine = conjugation_defect(w_fine, fine_scenario, s)
-        rows.append(("conjugation", s, coarse, fine,
-                     coarse / fine if fine else math.inf))
+    def defects(sc: Scenario) -> list[float]:
+        # the member dies on return, so one dense member is alive at a time
+        w = random_smooth_gridfunction(sc.grid, sc.n_comp, cfg.seed,
+                                       modes=cfg.modes, decay=cfg.decay)
+        return [ibp_identity_defect(sc.h1, w, "x"),
+                ibp_identity_defect(sc.h0, w, "t"),
+                *(conjugation_defect(w, sc, s) for s in cfg.s_grid)]
+
+    labels = [("ibp", "x"), ("ibp", "t"),
+              *(("conjugation", s) for s in cfg.s_grid)]
+    rows = [(check, param, c, f, c / f if f else math.inf)
+            for (check, param), c, f in zip(
+                labels, defects(scenario),
+                defects(scenario.with_grid(scenario.grid.refined())))]
     _write_csv(out / "identities.csv",
                ("check", "parameter", "coarse_defect", "fine_defect",
                 "shrink_factor"), _table(rows))

@@ -276,20 +276,23 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         f"T={scenario.grid.t_final!r} does not exceed the critical time "
         f"T_min={t_min!r}; proceeding (counterexample study)",)
 
-    if members is None:
-        if initial_kind == "random":
-            members = [random_initial_profile(scenario.grid, scenario.n_comp,
-                                              seed + i, modes=modes,
-                                              decay=decay)
-                       for i in range(ensemble)]
-        elif initial_kind == "bump":
-            members = [bump_profile(scenario.grid, support,
-                                    scenario.n_comp, amplitude)]
-        else:
-            raise ValueError(f"unknown initial_kind {initial_kind!r}")
+    if members is None and initial_kind not in ("random", "bump"):
+        raise ValueError(f"unknown initial_kind {initial_kind!r}")
+    if initial_kind == "bump":
+        ensemble = 1  # one deterministic member
 
-    ratios = [record.observability_ratio()
-              for record in _march_pass(scenario, members, cfl_factor)]
+    def make_member(grid, i):
+        if initial_kind == "bump":
+            return bump_profile(grid, support, scenario.n_comp, amplitude)
+        return random_initial_profile(grid, scenario.n_comp, seed + i,
+                                      modes=modes, decay=decay)
+
+    _, ratios, _, _ = _two_grids(
+        scenario, members, ensemble, make_member,
+        run_pass=lambda sc, ms: [
+            record.observability_ratio()
+            for record in _march_pass(sc, ms, cfl_factor)],
+        constant=_usable_max, refine=False)
 
     # ratios are >= 0, so the largest usable one is finite exactly when
     # there is one and every usable ratio is finite

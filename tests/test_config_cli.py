@@ -1,9 +1,11 @@
 """Config parsing/round-trip, scenario resolution, CLI runs and artifacts."""
 
 import csv
+import weakref
 
 import pytest
 
+from symhyp import cli
 from symhyp import ConfigError, parse_config, resolve_scenario, serialize_config
 from symhyp.cli import list_scenarios, main, run
 
@@ -270,6 +272,24 @@ class TestCliRuns:
         out = capsys.readouterr().out
         assert out.count("pass") >= 4
         assert (tmp_path / "out" / "identities.csv").exists()
+
+    def test_identities_hold_one_member_at_a_time(self, tmp_path,
+                                                  monkeypatch):
+        made, alive_at_make = [], []
+        make = cli.random_smooth_gridfunction
+
+        def tracked(*args, **kwargs):
+            alive_at_make.append([ref() is not None for ref in made])
+            member = make(*args, **kwargs)
+            made.append(weakref.ref(member))
+            return member
+
+        monkeypatch.setattr(cli, "random_smooth_gridfunction", tracked)
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
+                                  f"s_grid: [1]\nout_dir: {tmp_path}/out\n")
+        main(["identities", "--config", cfg])
+        # the coarse member is gone when the fine one is made
+        assert alive_at_make == [[], [False]]
 
     def test_byte_identical_reruns(self, tmp_path):
         body = ("scenario: coupled-spd\ngrid: {nx: 31}\ns_grid: [1, 2]\n"

@@ -6,6 +6,7 @@ CSV the command line writes must keep its bytes.
 """
 
 import csv
+import io
 import math
 import os
 import tempfile
@@ -241,23 +242,20 @@ class TestSolveOutputs:
             os.waitpid(-1, os.WNOHANG)
         assert os.listdir(out) == ["solution.csv"]
 
-    def test_repeated_columns_scanned_once(self, tmp_path, monkeypatch):
-        # solution.csv reuses its i and x column objects in every time row
-        scanned, quoted = [], cli._quoted
+    def test_only_text_cells_are_quoted(self, tmp_path, monkeypatch):
+        # floats are reprs and integers digits, so no numeric cell reaches
+        # the quoting: only each header name and each side label, once
+        seen, text = [], cli._text
 
-        def counting(column, lone):
-            scanned.append(column)
-            return quoted(column, lone)
+        def counting(cell):
+            seen.append(cell)
+            return text(cell)
 
-        monkeypatch.setattr(cli, "_quoted", counting)
+        monkeypatch.setattr(cli, "_text", counting)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        nt = _check_solve(tmp_path, COUPLED)
-        # every scanned object is another one, since all are still held
-        assert len({id(col) for col in scanned}) == len(scanned)
-        # solution.csv: 6 header cells, i and x once, n, t, u_1 and u_2
-        # per time row; traces.csv: 4 header cells, then side, t, u_1 and
-        # u_2 of x_lo, and side, u_1 and u_2 of x_hi with t reused
-        assert len(scanned) == 6 + 2 + 4 * nt + 4 + 4 + 3
+        _check_solve(tmp_path, COUPLED)
+        assert sorted(seen) == sorted(["i", "n", "x", "t", "u_1", "u_2",
+                                       "side", "t", "u_1", "u_2", *SIDES])
 
     def test_writer_holds_less_than_the_solution(self, tmp_path):
         cfg, scenario = _solve_setup(
@@ -285,3 +283,43 @@ class TestSolveOutputs:
             tracemalloc.stop()
         assert code == 0
         assert run_peak - solve_peak < u_bytes, (run_peak, solve_peak, u_bytes)
+
+
+# ---------------------------------------------------------------------------
+# text from the config: a scenario name that csv.writer must quote
+# ---------------------------------------------------------------------------
+
+ODD_NAME = 'my,"odd" sys'
+ODD_SCENARIO = """\
+scenario:
+  name: 'my,"odd" sys'
+  n: 2
+  h0: {constant: [[2, 1], [1, 2]]}
+  h1: {affine: {base: [[2, 1], [1, 2]], slope: [[1, 0], [0, 0]]}}
+grid: {nx: 21}
+T: 4.0
+weight: {beta: auto}
+ensemble: {size: 3}
+"""
+
+
+def test_quoted_scenario_name_in_every_study(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(ODD_SCENARIO)
+    for verb in ("check", "carleman", "observe", "energy"):
+        assert cli.main([verb, "--config", str(cfg),
+                         "--out", str(tmp_path / verb)]) == 0
+    named = []
+    for path in sorted(tmp_path.glob("*/*.csv")):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, *body = rows
+        if "scenario" in header:
+            k = header.index("scenario")
+            assert body and {row[k] for row in body} == {ODD_NAME}, path
+            named.append(path.name)
+        fh = io.StringIO()
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert path.read_bytes() == fh.getvalue().encode(), path
+    assert sorted(named) == ["carleman_scan.csv", "carleman_scan_refined.csv",
+                             "energy.csv", "observability.csv"]

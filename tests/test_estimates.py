@@ -239,6 +239,29 @@ class TestEstimateObservability:
         report = estimate_observability(sc, ensemble=3, initial_kind="bump")
         assert len(report.ratios) == 1
 
+    def test_members_made_as_the_pass_reaches_them(self, monkeypatch):
+        events = []
+        make, march = estimates.random_initial_profile, estimates.solve
+
+        def making(*args, **kwargs):
+            events.append("make")
+            return make(*args, **kwargs)
+
+        def marching(*args, **kwargs):
+            events.append("solve")
+            return march(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "random_initial_profile", making)
+        monkeypatch.setattr(estimates, "solve", marching)
+        sc = build_scenario("transport", nx=51, t_final=1.5)
+        estimate_observability(sc, ensemble=3)
+        assert events == ["make", "solve"] * 3
+
+    def test_unknown_initial_kind_refused(self):
+        sc = build_scenario("transport", nx=51, t_final=1.5)
+        with pytest.raises(ValueError, match="unknown initial_kind"):
+            estimate_observability(sc, initial_kind="step")
+
     def test_zero_member_degenerate(self):
         sc = build_scenario("transport", nx=51, t_final=1.5)
         report = estimate_observability(sc, members=[np.zeros((51, 1))])
