@@ -1,11 +1,12 @@
 """Command-line entry point: experiment orchestration and CSV emission.
 
 Verbs: check | solve | carleman | observe | energy | identities | scenarios.
-Each experiment verb reads a YAML config (--config), applies flag overrides,
-prints a summary to stdout, and writes CSV artifacts into the output
-directory: cells are formatted a column at a time by `_column`, floats by
-`repr` (full round-trip precision), integers by `str`, and text quoted as
-`csv.writer` quotes a field, so the writer only joins cells into lines.
+Each experiment verb reads a YAML config (--config), whose keys its flags
+override before validation, prints a summary to stdout, and writes CSV
+artifacts into the output directory: cells are formatted a column at a
+time by `_column`, floats by `repr` (full round-trip precision), integers
+by `str`, and text quoted as `csv.writer` quotes a field, so the writer
+only joins cells into lines.
 `solution.csv` is formatted one time row at a time, in contiguous ranges
 of time rows split across processes: one per usable CPU, each with at least
 MIN_CELLS_PER_PROCESS cells, so a small table stays in one process.  The
@@ -26,7 +27,6 @@ import os
 import sys
 import tempfile
 from collections.abc import Sequence
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str):
+    """`text` as a float; text that is not one stays text, for the config
+    rule to refuse."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "scenarios":
@@ -444,37 +453,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
+    s_grid = None if args.s is None else [
+        _number(v) for v in args.s.split(",") if v.strip()]
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, {
+            "experiment": VERB_EXPERIMENTS[args.verb], "out_dir": args.out,
+            "seed": args.seed, "grid.nx": args.nx, "s_grid": s_grid})
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
-    cfg = replace(cfg, experiment=VERB_EXPERIMENTS[args.verb])
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
-        if args.seed < 0:
-            print("config error: seed must be a non-negative integer",
-                  file=sys.stderr)
-            return 2
-        cfg = replace(cfg, seed=args.seed)
-    if args.nx is not None:
-        if args.nx < 3:
-            print("config error: grid.nx must be an integer >= 3",
-                  file=sys.stderr)
-            return 2
-        cfg = replace(cfg, nx=args.nx)
-    if args.s is not None:
-        try:
-            s_grid = tuple(float(v) for v in args.s.split(",") if v.strip())
-        except ValueError:
-            s_grid = ()
-        if not s_grid or not all(math.isfinite(v) and v > 0 for v in s_grid):
-            print("config error: --s must be comma-separated positive "
-                  "finite numbers", file=sys.stderr)
-            return 2
-        cfg = replace(cfg, s_grid=s_grid)
     return run(cfg)
 
 

@@ -1,9 +1,16 @@
 """Run configuration: YAML parsing, validation, and scenario resolution.
 
-Configs are YAML mappings with nested sections.  Validation reports every
-problem at once rather than stopping at the first; `serialize_config`
-produces a canonical document whose re-parse compares equal, which keeps
-configs usable as byte-stable experiment records.
+Configs are YAML mappings with nested sections.  Each leaf is one row of
+`_LEAVES`: the field it sets, the rule its value must meet and how the
+value converts.  One loop checks every leaf and reports every problem at
+once rather than stopping at the first: a refused leaf reads
+"<section.key> <rule> (got <value>)", an unknown key
+"<section>: unknown key <key>".  Command-line flags are overrides of the
+keys they set, so each meets that key's rule.  A scenario is a catalog name
+or an inline mapping; `_inline_entry` builds an inline one, both to
+validate it and to run it.  `serialize_config` produces a canonical
+document whose re-parse compares equal, which keeps configs usable as
+byte-stable experiment records.
 
 Coefficient fields in configs come from the builtin catalog or from
 constant / affine-in-x matrix literals; anything more exotic is added in
@@ -12,6 +19,7 @@ code, not in configs.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
@@ -19,7 +27,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .catalog import CatalogEntry, _instantiate, build_scenario, catalog
+from .catalog import CatalogEntry, _instantiate, catalog
 from .errors import AsymmetricFieldError, BetaSelectionError, ConfigError
 from .fields import MatrixField, Scenario, SymMatrixField
 from .hypotheses import check_hypotheses, select_beta
@@ -119,59 +127,110 @@ def _field_spec(spec, tag: str, symmetric: bool, errors: list[str]):
     return None
 
 
-def _parse_initial(node, errors: list[str]) -> InitialSpec:
-    if node is None:
-        return InitialSpec()
+def _positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
+def _positive_int(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _interval(v) -> bool:
+    """[lo, hi] of finite numbers with lo < hi."""
+    return (isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_number, v)) and v[0] < v[1])
+
+
+def _is_eta(v) -> bool:
+    return (isinstance(v, dict) and set(v) == {"linear"}
+            and isinstance(v["linear"], dict) and set(v["linear"]) <= {"a", "b"}
+            and all(map(_is_number, v["linear"].values())))
+
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(map(float, v))
+
+
+def _scenario_copy(spec):
+    """A catalog name as it is; an inline mapping as its canonical copy."""
+    if isinstance(spec, str):
+        return spec
+    return {"name": str(spec.get("name", "inline")), "n": spec["n"],
+            **{tag: spec[tag] for tag in ("h0", "h1", "p") if tag in spec}}
+
+
+#: every config leaf: (section, key, target field, accepts, rule text,
+#: convert); section None is the top level, and the leaves of "initial" set
+#: InitialSpec fields.  A leaf that is absent keeps its field's default; one
+#: that `accepts` refuses reads "<section.key> <rule> (got <value>)".
+#: Messages follow this order, a section's unknown keys after its leaves.
+_LEAVES = (
+    (None, "experiment", "experiment", lambda v: v in EXPERIMENTS,
+     f"must be one of {EXPERIMENTS}", None),
+    (None, "scenario", "scenario", lambda v: isinstance(v, (str, dict)),
+     "must be a catalog name or a mapping", _scenario_copy),
+    ("grid", "nx", "nx", lambda v: _is_int(v) and v >= 3,
+     "must be an integer >= 3", None),
+    ("grid", "nt", "nt",
+     lambda v: v in ("auto", None) or _is_int(v) and v >= 2,
+     "must be an integer >= 2 or 'auto'", lambda v: None if v == "auto" else v),
+    (None, "T", "t_final", _positive, "must be a positive number", float),
+    (None, "domain", "domain", _interval,
+     "must be [x_lo, x_hi] with x_lo < x_hi", _floats),
+    (None, "cfl_factor", "cfl_factor", lambda v: _is_number(v) and 0 < v <= 1,
+     "must lie in (0, 1]", float),
+    ("weight", "eta", "eta", _is_eta, "must be {linear: {a: ..., b: ...}}",
+     lambda v: (float(v["linear"].get("a", 1.0)),
+                float(v["linear"].get("b", 0.0)))),
+    ("weight", "beta", "beta", lambda v: v == "auto" or _positive(v),
+     "must be a positive number or 'auto'",
+     lambda v: v if v == "auto" else float(v)),
+    (None, "s_grid", "s_grid",
+     lambda v: isinstance(v, (list, tuple)) and v and all(map(_positive, v)),
+     "must be a non-empty list of positive numbers", _floats),
+    ("ensemble", "size", "ensemble", _positive_int,
+     "must be a positive integer", None),
+    ("ensemble", "modes", "modes", _positive_int,
+     "must be a positive integer", None),
+    ("ensemble", "decay", "decay", _is_number, "must be a number", float),
+    (None, "seed", "seed", lambda v: _is_int(v) and v >= 0,
+     "must be a non-negative integer", None),
+    (None, "out_dir", "out_dir", lambda v: isinstance(v, str) and v != "",
+     "must be a non-empty string", None),
+    ("initial", "kind", "kind", lambda v: v in INITIAL_KINDS,
+     f"must be one of {INITIAL_KINDS}", None),
+    ("initial", "mode", "mode", _positive_int,
+     "must be a positive integer", None),
+    ("initial", "modes", "modes", _positive_int,
+     "must be a positive integer", None),
+    ("initial", "decay", "decay", _is_number, "must be a number", float),
+    ("initial", "support", "support", _interval,
+     "must be [lo, hi] with lo < hi", _floats),
+    ("initial", "amplitude", "amplitude", _is_number, "must be a number",
+     float),
+)
+
+
+def _section(doc: dict, section: str, errors: list[str]) -> dict:
+    """The mapping of a config section; {} when absent or refused."""
+    node = doc.get(section, {})
+    if section == "ensemble" and _is_int(node):
+        node = {"size": node}  # `ensemble: n` is shorthand for {size: n}
+    if node is None and section in ("ensemble", "initial"):
+        return {}
     if not isinstance(node, dict):
-        errors.append(f"initial: expected a mapping, got {node!r}")
-        return InitialSpec()
-    kind = node.get("kind", "sine")
-    if kind not in INITIAL_KINDS:
-        errors.append(f"initial.kind must be one of {INITIAL_KINDS} "
-                      f"(got {kind!r})")
-        kind = "sine"
-    spec = InitialSpec(kind=kind)
-    if "mode" in node:
-        if not _is_int(node["mode"]) or node["mode"] < 1:
-            errors.append("initial.mode must be a positive integer")
-        else:
-            spec = replace(spec, mode=node["mode"])
-    if "modes" in node:
-        if not _is_int(node["modes"]) or node["modes"] < 1:
-            errors.append("initial.modes must be a positive integer")
-        else:
-            spec = replace(spec, modes=node["modes"])
-    if "decay" in node:
-        if not _is_number(node["decay"]):
-            errors.append("initial.decay must be a number")
-        else:
-            spec = replace(spec, decay=float(node["decay"]))
-    if "support" in node:
-        sup = node["support"]
-        if (not isinstance(sup, (list, tuple)) or len(sup) != 2
-                or not all(_is_number(v) for v in sup) or sup[0] >= sup[1]):
-            errors.append("initial.support must be [lo, hi] with lo < hi")
-        else:
-            spec = replace(spec, support=(float(sup[0]), float(sup[1])))
-    if "amplitude" in node:
-        if not _is_number(node["amplitude"]):
-            errors.append("initial.amplitude must be a number")
-        else:
-            spec = replace(spec, amplitude=float(node["amplitude"]))
-    unknown = set(node) - {"kind", "mode", "modes", "decay", "support",
-                           "amplitude"}
-    for key in sorted(unknown):
-        errors.append(f"initial: unknown key {key!r}")
-    return spec
+        errors.append(f"{section} must be a mapping (got {node!r})")
+        return {}
+    return node
 
 
-_TOP_KEYS = {"experiment", "scenario", "grid", "T", "domain", "cfl_factor",
-             "weight", "s_grid", "ensemble", "seed", "out_dir", "initial"}
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """Parse and validate a YAML config; raises ConfigError with every issue.
 
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML config; raises ConfigError with every issue."""
-    errors: list[str] = []
+    `overrides` maps a key path ("seed", "grid.nx", ...) to a value that
+    replaces the document's before validation, so it meets the key's rule;
+    a None value leaves the document's.
+    """
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -180,180 +239,91 @@ def parse_config(text: str) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError([f"config must be a mapping, got {type(doc).__name__}"])
+    for path, value in (overrides or {}).items():
+        if value is None:
+            continue
+        section, _, key = path.rpartition(".")
+        node = doc.setdefault(section, {}) if section else doc
+        if isinstance(node, dict):
+            node[key] = value
 
-    for key in sorted(set(doc) - _TOP_KEYS):
-        errors.append(f"unknown key {key!r}")
-
-    cfg = RunConfig()
-
-    experiment = doc.get("experiment", cfg.experiment)
-    if experiment not in EXPERIMENTS:
-        errors.append(f"experiment must be one of {EXPERIMENTS} "
-                      f"(got {experiment!r})")
-    else:
-        cfg = replace(cfg, experiment=experiment)
-
-    scenario = doc.get("scenario", cfg.scenario)
-    if isinstance(scenario, str):
-        if scenario not in catalog():
-            errors.append(f"unknown scenario {scenario!r}; known: "
-                          f"{', '.join(sorted(catalog()))}")
-        cfg = replace(cfg, scenario=scenario)
-    elif isinstance(scenario, dict):
-        cfg = replace(cfg, scenario=_validate_inline(scenario, doc, errors))
-    else:
-        errors.append(f"scenario must be a catalog name or a mapping "
-                      f"(got {scenario!r})")
-
-    grid_node = doc.get("grid", {})
-    if not isinstance(grid_node, dict):
-        errors.append(f"grid must be a mapping (got {grid_node!r})")
-        grid_node = {}
-    nx = grid_node.get("nx", cfg.nx)
-    if not _is_int(nx) or nx < 3:
-        errors.append(f"grid.nx must be an integer >= 3 (got {nx!r})")
-    else:
-        cfg = replace(cfg, nx=nx)
-    nt = grid_node.get("nt", "auto")
-    if nt == "auto" or nt is None:
-        cfg = replace(cfg, nt=None)
-    elif _is_int(nt) and nt >= 2:
-        cfg = replace(cfg, nt=nt)
-    else:
-        errors.append(f"grid.nt must be an integer >= 2 or 'auto' (got {nt!r})")
-    for key in sorted(set(grid_node) - {"nx", "nt"}):
-        errors.append(f"grid: unknown key {key!r}")
-
-    if "T" in doc:
-        if not _is_number(doc["T"]) or doc["T"] <= 0:
-            errors.append(f"T must be a positive number (got {doc['T']!r})")
-        else:
-            cfg = replace(cfg, t_final=float(doc["T"]))
-
-    if "domain" in doc:
-        dom = doc["domain"]
-        if (not isinstance(dom, (list, tuple)) or len(dom) != 2
-                or not all(_is_number(v) for v in dom) or dom[0] >= dom[1]):
-            errors.append(f"domain must be [x_lo, x_hi] with x_lo < x_hi "
-                          f"(got {dom!r})")
-        else:
-            cfg = replace(cfg, domain=(float(dom[0]), float(dom[1])))
-
-    if "cfl_factor" in doc:
-        cf = doc["cfl_factor"]
-        if not _is_number(cf) or not 0 < cf <= 1:
-            errors.append(f"cfl_factor must lie in (0, 1] (got {cf!r})")
-        else:
-            cfg = replace(cfg, cfl_factor=float(cf))
-
-    weight = doc.get("weight", {})
-    if not isinstance(weight, dict):
-        errors.append(f"weight must be a mapping (got {weight!r})")
-        weight = {}
-    if "eta" in weight:
-        eta_node = weight["eta"]
-        ok = (isinstance(eta_node, dict) and set(eta_node) == {"linear"}
-              and isinstance(eta_node["linear"], dict)
-              and set(eta_node["linear"]) <= {"a", "b"}
-              and all(_is_number(v) for v in eta_node["linear"].values()))
-        if not ok:
-            errors.append(f"weight.eta must be {{linear: {{a: ..., b: ...}}}} "
-                          f"(got {eta_node!r})")
-        else:
-            lin = eta_node["linear"]
-            cfg = replace(cfg, eta=(float(lin.get("a", 1.0)),
-                                    float(lin.get("b", 0.0))))
-    if "beta" in weight:
-        b = weight["beta"]
-        if b == "auto":
-            cfg = replace(cfg, beta="auto")
-        elif _is_number(b) and b > 0:
-            cfg = replace(cfg, beta=float(b))
-        else:
-            errors.append(f"weight.beta must be a positive number or 'auto' "
-                          f"(got {b!r})")
-    for key in sorted(set(weight) - {"eta", "beta"}):
-        errors.append(f"weight: unknown key {key!r}")
-
-    if "s_grid" in doc:
-        sg = doc["s_grid"]
-        if (not isinstance(sg, (list, tuple)) or not sg
-                or not all(_is_number(v) and v > 0 for v in sg)):
-            errors.append(f"s_grid must be a non-empty list of positive "
-                          f"numbers (got {sg!r})")
-        else:
-            cfg = replace(cfg, s_grid=tuple(float(v) for v in sg))
-
-    ens = doc.get("ensemble", None)
-    if ens is not None:
-        if _is_int(ens) and ens >= 1:
-            cfg = replace(cfg, ensemble=ens)
-        elif isinstance(ens, dict) and set(ens) <= {"size", "modes", "decay"}:
-            size = ens.get("size", cfg.ensemble)
-            modes = ens.get("modes", cfg.modes)
-            decay = ens.get("decay", cfg.decay)
-            if not _is_int(size) or size < 1:
-                errors.append(f"ensemble.size must be a positive integer "
-                              f"(got {size!r})")
-            elif not _is_int(modes) or modes < 1:
-                errors.append(f"ensemble.modes must be a positive integer "
-                              f"(got {modes!r})")
-            elif not _is_number(decay):
-                errors.append(f"ensemble.decay must be a number (got {decay!r})")
-            else:
-                cfg = replace(cfg, ensemble=size, modes=modes,
-                              decay=float(decay))
-        else:
-            errors.append(f"ensemble must be a positive integer or a mapping "
-                          f"with size/modes/decay (got {ens!r})")
-
-    if "seed" in doc:
-        if not _is_int(doc["seed"]) or doc["seed"] < 0:
-            errors.append(f"seed must be a non-negative integer "
-                          f"(got {doc['seed']!r})")
-        else:
-            cfg = replace(cfg, seed=doc["seed"])
-
-    if "out_dir" in doc:
-        if not isinstance(doc["out_dir"], str) or not doc["out_dir"]:
-            errors.append(f"out_dir must be a non-empty string "
-                          f"(got {doc['out_dir']!r})")
-        else:
-            cfg = replace(cfg, out_dir=doc["out_dir"])
-
-    cfg = replace(cfg, initial=_parse_initial(doc.get("initial"), errors))
-
+    top_keys = {section or key for section, key, *_ in _LEAVES}
+    errors = [f"unknown key {key!r}" for key in sorted(set(doc) - top_keys)]
+    weight = doc.get("weight")
+    beta = weight.get("beta") if isinstance(weight, dict) else None
+    fields: dict[str, Any] = {}
+    initial: dict[str, Any] = {}
+    for section, group in itertools.groupby(_LEAVES, key=lambda leaf: leaf[0]):
+        leaves = list(group)
+        node = doc if section is None else _section(doc, section, errors)
+        for _, key, target, accepts, rule, convert in leaves:
+            if key not in node:
+                continue
+            value = node[key]
+            if not accepts(value):
+                name = f"{section}.{key}" if section else key
+                errors.append(f"{name} {rule} (got {value!r})")
+            # a scenario must also name an entry or build an inline one
+            elif key != "scenario" or _entry(value, doc.get("T"), beta,
+                                            errors):
+                (initial if section == "initial" else fields)[target] = \
+                    value if convert is None else convert(value)
+        if section is not None:
+            known = {leaf[1] for leaf in leaves}
+            errors.extend(f"{section}: unknown key {key!r}"
+                          for key in sorted(set(node) - known))
     if errors:
         raise ConfigError(errors)
-    return cfg
+    return RunConfig(**fields, initial=InitialSpec(**initial))
 
 
-def _validate_inline(node: dict, doc: dict, errors: list[str]) -> dict:
-    """Vet an inline scenario mapping; returns a canonical copy."""
-    known = {"name", "n", "h0", "h1", "p"}
-    for key in sorted(set(node) - known):
+def _inline_entry(spec: dict, t_final, beta,
+                  errors: list[str]) -> CatalogEntry | None:
+    """The entry of an inline scenario mapping, run with horizon `t_final`
+    and weight rate `beta` (a number or "auto"); None, with every reason
+    appended to `errors`, when the mapping or those two do not make one."""
+    first_error = len(errors)
+    for key in sorted(set(spec) - {"name", "n", "h0", "h1", "p"}):
         errors.append(f"scenario: unknown key {key!r}")
-    n = node.get("n")
-    if not _is_int(n) or n < 1:
+    n = spec.get("n")
+    if not _positive_int(n):
         errors.append(f"scenario.n must be a positive integer (got {n!r})")
         n = 1
-    out = {"name": str(node.get("name", "inline")), "n": n}
+    built = {}
     for tag, symmetric in (("h0", True), ("h1", True), ("p", False)):
-        if tag in node:
-            fld = _field_spec(node[tag], f"scenario.{tag}", symmetric, errors)
-            if fld is not None and fld.n_comp != n:
-                errors.append(f"scenario.{tag}: size {fld.n_comp} does not "
-                              f"match n={n}")
-            out[tag] = node[tag]
+        if tag in spec:
+            built[tag] = _field_spec(spec[tag], f"scenario.{tag}", symmetric,
+                                     errors)
+            if built[tag] is not None and built[tag].n_comp != n:
+                errors.append(f"scenario.{tag}: size {built[tag].n_comp} "
+                              f"does not match n={n}")
         elif tag != "p":
             errors.append(f"scenario.{tag} is required for inline scenarios")
-    if "T" not in doc:
+    if t_final is None:
         errors.append("T is required for inline scenarios")
-    weight = doc.get("weight")
-    if not (isinstance(weight, dict) and weight.get("beta") is not None):
+    if beta is None:
         errors.append("weight.beta is required for inline scenarios "
                       "(a number or 'auto')")
-    return out
+    if len(errors) > first_error:
+        return None
+    # an "auto" beta is selected after instantiation; 1.0 stands in
+    return CatalogEntry(
+        name=str(spec.get("name", "inline")), description="inline scenario",
+        n_comp=n, h0=built["h0"], h1=built["h1"],
+        default_beta=1.0 if beta == "auto" else beta,
+        default_t_final=t_final, p=built.get("p"))
+
+
+def _entry(spec, t_final, beta, errors: list[str]) -> CatalogEntry | None:
+    """The catalog entry a scenario name gives, or an inline mapping's."""
+    if isinstance(spec, dict):
+        return _inline_entry(spec, t_final, beta, errors)
+    entries = catalog()
+    if spec not in entries:
+        errors.append(f"unknown scenario {spec!r}; known: "
+                      f"{', '.join(sorted(entries))}")
+        return None
+    return entries[spec]
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -392,37 +362,17 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
     resolved; beta="auto" is replaced through the admissible-window midpoint
     and recorded.  Raises ConfigError when resolution is impossible.
     """
-    info: dict[str, Any] = {}
     auto_beta = cfg.beta == "auto"
-
-    if isinstance(cfg.scenario, str):
-        scenario = build_scenario(
-            cfg.scenario, nx=cfg.nx, nt=cfg.nt, t_final=cfg.t_final,
-            beta=None if auto_beta else cfg.beta, eta=cfg.eta,
-            domain=cfg.domain, cfl_factor=cfg.cfl_factor)
-        info["beta_source"] = "catalog-default" if cfg.beta is None else \
-            ("auto" if auto_beta else "config")
-    else:
-        errors: list[str] = []
-        spec = cfg.scenario
-        h0 = _field_spec(spec["h0"], "scenario.h0", True, errors)
-        h1 = _field_spec(spec["h1"], "scenario.h1", True, errors)
-        p = _field_spec(spec["p"], "scenario.p", False, errors) \
-            if "p" in spec else None
-        if errors or h0 is None or h1 is None:
-            raise ConfigError(errors or ["scenario fields failed to build"])
-        if cfg.t_final is None:
-            raise ConfigError(["T is required for inline scenarios"])
-        beta0 = 1.0 if auto_beta else cfg.beta
-        if beta0 is None:
-            raise ConfigError(["weight.beta is required for inline scenarios"])
-        entry = CatalogEntry(
-            name=spec["name"], description="inline scenario", n_comp=spec["n"],
-            h0=h0, h1=h1, default_beta=float(beta0),
-            default_t_final=cfg.t_final, p=p)
-        scenario = _instantiate(entry, cfg.nx, cfg.nt, None, None, cfg.eta,
-                                cfg.domain, cfg.cfl_factor)
-        info["beta_source"] = "auto" if auto_beta else "config"
+    errors: list[str] = []
+    entry = _entry(cfg.scenario, cfg.t_final, cfg.beta, errors)
+    if entry is None:
+        raise ConfigError(errors)
+    scenario = _instantiate(entry, cfg.nx, cfg.nt, cfg.t_final,
+                            None if auto_beta else cfg.beta, cfg.eta,
+                            cfg.domain, cfg.cfl_factor)
+    info: dict[str, Any] = {"beta_source": "catalog-default"
+                            if cfg.beta is None else
+                            "auto" if auto_beta else "config"}
 
     if auto_beta:
         report = check_hypotheses(scenario)

@@ -167,8 +167,10 @@ def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
     of its samples is 0.
     """
     rows = []
-    degenerate = 0
-    for idx, u in enumerate(members):
+    degenerate = idx = 0
+    # no enumerate: its result tuple would keep this member alive while
+    # the next one is made
+    for u in members:
         if u.is_zero():
             degenerate += 1
         src = residual(u, scenario)
@@ -176,6 +178,8 @@ def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
             terms = carleman_terms(u, src, scenario, s)
             rows.append(ScanRow(member=idx, s=s, terms=terms,
                                 ratio=carleman_ratio(terms)))
+        del u, src
+        idx += 1
     rho = tuple(_usable_max(r.ratio for r in rows if r.s == s)
                 for s in s_grid)
     s0_hat, c_hat = _stabilized_tail(s_grid, rho)
@@ -247,6 +251,7 @@ def _march_pass(scenario: Scenario, members, cfl_factor: float,
     for u0 in members:
         record = MarchRecord(scenario, energy=energy)
         solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
+        del u0  # so that it is gone when the next member is made
         yield record
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -128,6 +129,12 @@ class TestParseConfig:
             parse_config(MINIMAL + line)
         assert any(m.startswith(key) for m in err.value.messages)
 
+    def test_every_bad_ensemble_leaf_reported(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "ensemble: {size: 0, modes: 0, decay: x}\n")
+        assert [m.partition(" ")[0] for m in err.value.messages] == [
+            "ensemble.size", "ensemble.modes", "ensemble.decay"]
+
     def test_beta_auto_needs_the_bounds(self, tmp_path, capsys):
         text = "scenario: wave-type\ngrid: {nx: 21}\nweight: {beta: auto}\n"
         with pytest.raises(ConfigError) as err:
@@ -147,6 +154,14 @@ class TestParseConfig:
     def test_round_trip(self, text):
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("field, message", [
+        ("t_final", "T is required"), ("beta", "weight.beta is required")])
+    def test_inline_resolution_needs_horizon_and_beta(self, field, message):
+        cfg = replace(parse_config(INLINE), **{field: None})
+        with pytest.raises(ConfigError) as err:
+            resolve_scenario(cfg)
+        assert any(m.startswith(message) for m in err.value.messages)
 
     def test_inline_resolution_builds_scenario(self):
         cfg = parse_config(INLINE)
@@ -319,11 +334,27 @@ class TestCliRuns:
         assert main(["check", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_s_flag_exits_2(self, tmp_path):
+    def test_flag_replaces_invalid_file_value(self, tmp_path):
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 2}\n"
+                                  f"out_dir: {tmp_path}/out\n")
+        assert main(["check", "--config", cfg, "--nx", "21"]) == 0
+
+    def test_bad_s_flag_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where an empty --out would write
         cfg = _cfg_file(tmp_path, MINIMAL)
-        for flags in (["--s", "1,-2"], ["--s", "nan,1"], ["--s", "inf"],
-                      ["--seed", "-1"]):
+        # each flag is refused with the message of the key it sets
+        for flags, line in ((["--s", "1,-2"], "s_grid: [1, -2]"),
+                            (["--s", "nan,1"], "s_grid: [.nan, 1]"),
+                            (["--s", "inf"], "s_grid: [.inf]"),
+                            (["--seed", "-1"], "seed: -1"),
+                            (["--nx", "2"], "grid: {nx: 2}"),
+                            (["--out", ""], "out_dir: ''")):
             assert main(["carleman", "--config", cfg, *flags]) == 2
+            by_flag = capsys.readouterr().err
+            keyed = _cfg_file(tmp_path, f"{MINIMAL}{line}\n", "keyed.yaml")
+            assert main(["carleman", "--config", keyed]) == 2
+            by_key = capsys.readouterr().err
+            assert by_flag.partition(" (got")[0] == by_key.partition(" (got")[0]
 
     def test_scenarios_verb(self, capsys):
         assert main(["scenarios"]) == 0

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,29 @@ def test_refusal_reads_the_check_report(study, make, check):
     for part in (f"{check} fails:", "lambda_min=", "x=", "t="):
         assert part in msg
     assert err.value.report.to_text() == check_hypotheses(sc).to_text()
+
+
+@pytest.mark.parametrize("study, members", [
+    (verify_energy_estimate, 4), (estimate_observability, 4),
+    (scan_carleman, 8),  # the scan also reruns on the refined grid
+])
+def test_one_generated_member_alive_at_a_time(study, members, monkeypatch):
+    made, alive_at_make = [], []
+
+    def tracked(make):
+        def wrapper(*args, **kwargs):
+            alive_at_make.append(sum(ref() is not None for ref in made))
+            member = make(*args, **kwargs)
+            made.append(weakref.ref(member))
+            return member
+        return wrapper
+
+    for name in ("random_initial_profile", "random_smooth_separable"):
+        monkeypatch.setattr(estimates, name,
+                            tracked(getattr(estimates, name)))
+    study(build_scenario("transport", nx=51), ensemble=4)
+    # how many earlier members were alive as each one was made
+    assert alive_at_make == [0] * members
 
 
 def test_observability_refusal_names_every_failed_check():
