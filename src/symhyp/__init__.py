@@ -41,7 +41,6 @@ from .fields import (
     bump_profile,
     central_derivative,
     eig_bounds,
-    min_max_eigenvalues,
     random_initial_profile,
     random_smooth_gridfunction,
     random_smooth_separable,

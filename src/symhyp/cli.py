@@ -380,8 +380,13 @@ def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the process exit status."""
     try:
         scenario, info = resolve_scenario(cfg)
-    except ConfigError as exc:
-        for msg in exc.messages:
+    except SymhypError as exc:
+        # sampling a parsed scenario can still fail: a non-finite sample,
+        # an h0 that is not positive definite, a Courant bound past
+        # MAX_TIME_NODES
+        messages = (exc.messages if isinstance(exc, ConfigError)
+                    else [f"scenario: {exc}"])
+        for msg in messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
     out = Path(cfg.out_dir)

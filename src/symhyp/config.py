@@ -89,11 +89,17 @@ def _matrix_literal(spec, tag: str, errors: list[str]):
     except (TypeError, ValueError):
         errors.append(f"{tag}: malformed matrix literal {spec!r}")
         return None
+    except OverflowError:  # an int past the float range, refused below
+        arr = np.array(np.inf)
     if arr.ndim == 0:
         arr = arr[None, None]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         errors.append(f"{tag}: matrix literal must be square "
                       f"(got shape {arr.shape})")
+        return None
+    if not np.all(np.isfinite(arr)):
+        errors.append(f"{tag}: matrix literal entries must be finite "
+                      f"(got {spec!r})")
         return None
     return arr
 
@@ -248,7 +254,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             node[key] = value
 
     top_keys = {section or key for section, key, *_ in _LEAVES}
-    errors = [f"unknown key {key!r}" for key in sorted(set(doc) - top_keys)]
+    errors = [f"unknown key {key!r}"
+              for key in sorted(set(doc) - top_keys, key=str)]
     weight = doc.get("weight")
     beta = weight.get("beta") if isinstance(weight, dict) else None
     fields: dict[str, Any] = {}
@@ -271,7 +278,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if section is not None:
             known = {leaf[1] for leaf in leaves}
             errors.extend(f"{section}: unknown key {key!r}"
-                          for key in sorted(set(node) - known))
+                          for key in sorted(set(node) - known, key=str))
     if errors:
         raise ConfigError(errors)
     return RunConfig(**fields, initial=InitialSpec(**initial))
@@ -283,7 +290,7 @@ def _inline_entry(spec: dict, t_final, beta,
     and weight rate `beta` (a number or "auto"); None, with every reason
     appended to `errors`, when the mapping or those two do not make one."""
     first_error = len(errors)
-    for key in sorted(set(spec) - {"name", "n", "h0", "h1", "p"}):
+    for key in sorted(set(spec) - {"name", "n", "h0", "h1", "p"}, key=str):
         errors.append(f"scenario: unknown key {key!r}")
     n = spec.get("n")
     if not _positive_int(n):

@@ -4,9 +4,10 @@ Everything downstream (hypothesis checks, the time stepper, the weighted
 functionals) consumes the types defined here.  Fields are closures evaluated
 on uniform tensor-product space-time grids; matrix fields carry the system
 size and an optional symmetry contract that is enforced at sampling time.
-Each scenario samples its coefficients once per grid (`Scenario.samples`);
-that sample set also owns the node speeds and the boundary closure
-projectors the time stepper reads.
+Each scenario samples its coefficients once per grid (`Scenario.samples`),
+and every per-node quantity reads that sample set: the boundary flux its h1
+end columns, node-wise maps one blocked loop (`GridSamples.node_map`).  It
+also owns the node speeds and boundary closure projectors the marcher reads.
 
 Grid functions come in two storages.  `GridFunction` holds every sample.
 `SeparableGridFunction` holds a low-rank factorization u = X T^T, an x
@@ -38,9 +39,6 @@ from .errors import (
 
 #: absolute tolerance on max_ij |M_ij - M_ji| for fields declared symmetric
 SYMMETRY_TOL = 1e-12
-
-#: looser tolerance accepted by the scalar eigenvalue helper
-EIG_SYMMETRY_TOL = 1e-10
 
 #: boundary sides in d = 1, with their outward normals
 SIDES = ("x_lo", "x_hi")
@@ -414,21 +412,6 @@ def _asymmetry(vals: np.ndarray) -> float:
 # small symmetric eigenvalue bounds
 # ---------------------------------------------------------------------------
 
-def min_max_eigenvalues(matrix) -> tuple[float, float]:
-    """Extreme eigenvalues of one small dense symmetric matrix.
-
-    Rejects inputs whose symmetry defect exceeds EIG_SYMMETRY_TOL.
-    """
-    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    defect = float(np.max(np.abs(mat - mat.T)))
-    if defect > EIG_SYMMETRY_TOL:
-        raise AsymmetricFieldError(
-            f"matrix symmetry defect {defect:.3e} exceeds {EIG_SYMMETRY_TOL}",
-            defect)
-    w = np.linalg.eigvalsh(mat)
-    return float(w[0]), float(w[-1])
-
-
 def eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lambda_min, lambda_max) over the trailing (n, n) axes of a stack.
 
@@ -566,11 +549,11 @@ class GridSamples:
 
     h0, h1 and p are (nt, nx, n, n), or (1, nx, n, n) to be broadcast over t
     for a time-independent field; p is None when the scenario has none.
-    flux is nu * h1 at x_lo and x_hi for every time node, (2, nt, n, n) in
-    SIDES order, and plus / minus are its boundary classes, (2, nt).  speeds
-    holds the node speeds of the marcher and closure its boundary
-    projectors, each built on first use.  Every caller shares these arrays,
-    so they are read-only.
+    flux is nu * h1 read from the end columns of the h1 samples at every
+    time node, (2, nt, n, n) in SIDES order, and plus / minus are its
+    boundary classes, (2, nt).  speeds holds the node speeds of the marcher
+    and closure its boundary projectors, each built on first use.  Every
+    caller shares these arrays, so they are read-only.
     """
 
     def __init__(self, scenario: Scenario):
@@ -582,34 +565,42 @@ class GridSamples:
 
         self.h0, self.h1 = rows(scenario.h0), rows(scenario.h1)
         self.p = None if scenario.p is None else rows(scenario.p)
-        self.flux = np.stack([boundary_flux(scenario, side, grid.t)
-                              for side in SIDES])
+        self.flux = np.stack([NORMALS[side] * np.broadcast_to(
+            self.h1[:, col], (grid.nt,) + self.h1.shape[2:])
+            for side, col in zip(SIDES, (0, -1))])
         self.plus, self.minus = boundary_classes(self.flux)
         for arr in (self.flux, self.plus, self.minus):
             arr.flags.writeable = False
 
+    def node_map(self, fn: Callable) -> np.ndarray:
+        """fn(h0 rows, h1 rows) at every sampled node, (rows, nx): rows is 1
+        when h0 and h1 both have one time row, nt otherwise.  fn gets
+        ROW_BLOCK time rows at a time, so no node-wise temporary spans every
+        time row."""
+        h0, h1 = self.h0, self.h1
+        out = np.empty((max(len(h0), len(h1)), self.grid.nx))
+        for k in range(0, len(out), ROW_BLOCK):
+            out[k:k + ROW_BLOCK] = fn(*row_block((h0, h1), k, k + ROW_BLOCK))
+        return out
+
     @cached_property
     def speeds(self) -> np.ndarray:
-        """Largest characteristic speed at every sampled node, (rows, nx).
+        """Largest characteristic speed at every sampled node, (rows, nx)
+        with rows as for `node_map`; closed form for n <= 2.
 
-        rows is 1 when h0 and h1 are both sampled on one time row, nt
-        otherwise.  `_char_speeds` fills ROW_BLOCK time rows at a time, closed
-        form for n <= 2.  Refuses, naming the node and the eigenvalue, when
-        h0 is not positive definite somewhere; a refusal is not cached.
+        Refuses, naming the node and the eigenvalue, when h0 is not
+        positive definite somewhere; a refusal is not cached.
         """
         lmin, _ = eig_bounds(self.h0)
         if lmin.min() <= 0.0:
             n, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
             raise SingularCoefficientError(
                 f"h0 is not positive definite at x={float(self.grid.x[i])}, "
-                f"t={float(self.grid.t[n])} (lambda_min={lmin.min()!r})")
-        h0, h1 = self.h0, self.h1
+                f"t={float(self.grid.t[n])} "
+                f"(lambda_min={float(lmin.min())!r})")
         # a time-independent h0 is factored once for every h1 row
-        linv = _inverse_factor(h0) if len(h0) == 1 else None
-        speeds = np.empty((max(len(h0), len(h1)), h0.shape[1]))
-        for k in range(0, len(speeds), ROW_BLOCK):
-            speeds[k:k + ROW_BLOCK] = _char_speeds(
-                *row_block((h0, h1), k, k + ROW_BLOCK), linv)
+        linv = _inverse_factor(self.h0) if len(self.h0) == 1 else None
+        speeds = self.node_map(lambda h0, h1: _char_speeds(h0, h1, linv))
         speeds.flags.writeable = False
         return speeds
 
@@ -672,13 +663,6 @@ class Scenario:
 
     def with_grid(self, grid: SpaceTimeGrid) -> "Scenario":
         return replace(self, grid=grid)
-
-
-def boundary_flux(scenario: Scenario, side: str, t) -> np.ndarray:
-    """Normal flux matrix nu * h1 at one boundary point, t.shape + (n, n)."""
-    grid = scenario.grid
-    xb = grid.x_lo if side == "x_lo" else grid.x_hi
-    return NORMALS[side] * scenario.h1(xb, t)
 
 
 def check_same_grid(u: GridFunction | SeparableGridFunction,

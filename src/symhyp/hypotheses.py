@@ -1,9 +1,9 @@
 """Structural hypothesis checks and the constants they certify.
 
-Every check minimizes (or maximizes) an eigenvalue bound over the grid nodes
-of a scenario.  The conditions quantify over the whole closed cylinder; node
-sampling is exact for the constant and affine coefficient catalog and is the
-documented approximation for everything else.
+Every check minimizes (or maximizes) an eigenvalue bound over the sampled
+nodes of a scenario (`Scenario.samples`) and passes when that bound is > 0.
+The conditions quantify over the whole closed cylinder; node sampling is
+exact for constant and affine coefficients and an approximation elsewhere.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ import numpy as np
 
 from .errors import BetaSelectionError, HypothesisRefusal
 from .fields import (
-    ROW_BLOCK,
+    NORMALS,
     SIDES,
     Scenario,
     SpaceTimeGrid,
     SpatialWeight,
     boundary_classes,
-    boundary_flux,
     eig_bounds,
-    row_block,
 )
 
 
@@ -45,10 +43,12 @@ def classify_boundary(scenario: Scenario, t: float) -> dict[str, BoundaryLabel]:
 
     PLUS means the normal flux matrix h1 * nu is positive definite there
     (strictly), MINUS that it is negative semidefinite; the remainder is
-    NEITHER, which can be nonempty.
+    NEITHER, which can be nonempty.  h1 is read at the end nodes of the
+    scenario's grid, where its samples sit.
     """
-    flux = np.stack([boundary_flux(scenario, side, float(t))
-                     for side in SIDES])
+    ends = scenario.grid.x[[0, -1]]
+    flux = np.stack([NORMALS[side] * scenario.h1(xb, float(t))
+                     for side, xb in zip(SIDES, ends)])
     return dict(zip(SIDES, _labels(*boundary_classes(flux))))
 
 
@@ -111,50 +111,41 @@ def _weight(scenario: Scenario, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
     return -scenario.beta * h0 + etax * h1
 
 
-def _coercivity(name: str, scenario: Scenario, matrices,
-                margin: float) -> CoercivityCheck:
-    """Grid minimum of lambda_min(matrices(h0 rows, h1 rows)), formed
-    ROW_BLOCK time rows at a time, so a time-dependent coefficient's
-    matrices never exist for every node at once."""
-    h0, h1 = scenario.samples.h0, scenario.samples.h1
-    lmin = np.empty((max(len(h0), len(h1)), h0.shape[1]))
-    for k in range(0, len(lmin), ROW_BLOCK):
-        lmin[k:k + ROW_BLOCK] = eig_bounds(
-            matrices(*row_block((h0, h1), k, k + ROW_BLOCK)))[0]
+def _coercivity(name: str, scenario: Scenario, matrices) -> CoercivityCheck:
+    """Grid minimum of lambda_min(matrices(h0 rows, h1 rows)), through
+    `node_map`, so a time-dependent coefficient's matrices never exist for
+    every node at once."""
+    lmin = scenario.samples.node_map(
+        lambda h0, h1: eig_bounds(matrices(h0, h1))[0])
     value = float(lmin.min())
     wx, wt = _argmin_node(lmin, scenario.grid)
-    return CoercivityCheck(name, value, value > margin, wx, wt)
+    return CoercivityCheck(name, value, value > 0.0, wx, wt)
 
 
-def check_weight_coercivity(scenario: Scenario,
-                            margin: float = 0.0) -> CoercivityCheck:
+def check_weight_coercivity(scenario: Scenario) -> CoercivityCheck:
     """Smallest eigenvalue of (d_t phi) h0 + (d_x phi) h1 over all nodes.
 
     With phi = eta(x) - beta*t this is the matrix multiplying the solution
     in the conjugated system; the weighted estimate needs it uniformly
-    positive definite.  Fails with the worst node recorded.  The checks
-    sample grid nodes only; a positive `margin` guards against minima
-    hiding between nodes of non-affine coefficients.
+    positive definite.  Fails with the worst node recorded.
     """
     return _coercivity("weight_coercivity", scenario,
-                       lambda h0, h1: _weight(scenario, h0, h1), margin)
+                       lambda h0, h1: _weight(scenario, h0, h1))
 
 
-def check_eta_coercivity(scenario: Scenario,
-                         margin: float = 0.0) -> CoercivityCheck:
+def check_eta_coercivity(scenario: Scenario) -> CoercivityCheck:
     """Smallest eigenvalue of (d_x eta) h1 over all nodes (delta0)."""
     etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
-    return _coercivity("eta_coercivity", scenario,
-                       lambda h0, h1: etax * h1, margin)
+    return _coercivity("eta_coercivity", scenario, lambda h0, h1: etax * h1)
 
 
-def check_h0_bounds(scenario: Scenario, margin: float = 0.0) -> H0BoundsCheck:
+def check_h0_bounds(scenario: Scenario) -> H0BoundsCheck:
     """Spectral bounds of h0: delta1 = min lambda_min, M = max lambda_max."""
     lmin, lmax = eig_bounds(scenario.samples.h0)
     delta1 = float(lmin.min())
     m_upper = float(lmax.max())
     wx, wt = _argmin_node(lmin, scenario.grid)
-    return H0BoundsCheck(delta1, m_upper, delta1 > margin, wx, wt)
+    return H0BoundsCheck(delta1, m_upper, delta1 > 0.0, wx, wt)
 
 
 def eta_oscillation(eta: SpatialWeight, grid: SpaceTimeGrid) -> float:

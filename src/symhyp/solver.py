@@ -51,6 +51,11 @@ from .fields import (
 
 CFL_DEFAULT = 0.5
 
+#: the most time nodes a Courant bound may ask for.  Past it the time axis
+#: alone outgrows 80 MB, and the bound of a huge coefficient (1e300, or an
+#: infinite speed) would fail in allocation, so it is refused instead
+MAX_TIME_NODES = 10**7
+
 #: time rows banded at once when a coefficient depends on t; bounds the
 #: stencil's memory to this many rows
 BAND_ROWS = 64
@@ -79,13 +84,17 @@ def max_char_speed(scenario: Scenario) -> float:
 
 def admissible_time_nodes(scenario: Scenario,
                           cfl_factor: float = CFL_DEFAULT) -> int:
-    """Smallest nt honoring ht <= cfl_factor * hx / alpha on this grid."""
+    """Smallest nt honoring ht <= cfl_factor * hx / alpha on this grid;
+    GridError when that is past MAX_TIME_NODES."""
     grid = scenario.grid
     alpha = max_char_speed(scenario)
     if alpha == 0.0:
         return 2
-    steps = math.ceil(grid.t_final * alpha / (cfl_factor * grid.hx) - 1e-12)
-    return max(2, steps + 1)
+    steps = grid.t_final * alpha / (cfl_factor * grid.hx)
+    if not steps < MAX_TIME_NODES:
+        raise GridError(f"the Courant bound at speed {alpha!r} needs "
+                        f"{steps:.3e} time steps (at most {MAX_TIME_NODES})")
+    return max(2, math.ceil(steps - 1e-12) + 1)
 
 
 def auto_time_nodes(scenario: Scenario,

@@ -1,14 +1,21 @@
 """Config parsing/round-trip, scenario resolution, CLI runs and artifacts."""
 
+import contextlib
 import csv
+import io
+import math
 import weakref
 from dataclasses import replace
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symhyp import cli
 from symhyp import ConfigError, parse_config, resolve_scenario, serialize_config
 from symhyp.cli import list_scenarios, main, run
+from symhyp.config import _LEAVES, EXPERIMENTS, INITIAL_KINDS, RunConfig
 
 MINIMAL = "scenario: transport\n"
 
@@ -367,3 +374,166 @@ class TestCliRuns:
                                   f"out_dir: {tmp_path}/out\n")
         assert main(["check", "--config", cfg]) == 0
         assert "experiment=hypotheses" in capsys.readouterr().out
+
+
+def _scalar_inline(h0, h1):
+    return ("scenario:\n  n: 1\n"
+            f"  h0: {{constant: {h0}}}\n  h1: {h1}\n"
+            "T: 1.0\nweight: {beta: 0.5}\n")
+
+
+#: configs that once ended in a traceback, each with a stderr line it is
+#: now refused with: mixed key types once broke the sorting of unknown
+#: keys, and the last three only fail when the scenario is sampled
+REFUSED_CONFIGS = {
+    "mixed-top-keys": (MINIMAL + "1: x\nbogus: 2\n",
+                       "config error: unknown key 'bogus'"),
+    "mixed-grid-keys": (MINIMAL + "grid: {5: 1, a: 2}\n",
+                        "config error: grid: unknown key 'a'"),
+    "mixed-inline-keys": (
+        "scenario: {n: 1, 5: x, a: y, h0: {constant: [[1]]}, "
+        "h1: {constant: [[1]]}}\nT: 1.0\nweight: {beta: 0.5}\n",
+        "config error: scenario: unknown key 'a'"),
+    "nan-literal": (_scalar_inline("[[1]]", "{constant: [[.nan]]}"),
+                    "config error: scenario.h1: matrix literal entries must "
+                    "be finite (got [[nan]])"),
+    "huge-integer-literal": (
+        _scalar_inline("[[1]]", f"{{constant: [[{10**400}]]}}"),
+        "config error: scenario.h1: matrix literal entries must be finite"),
+    "overflowing-samples": (
+        _scalar_inline("[[1]]", "{affine: {base: [[1e308]], "
+                                "slope: [[1e308]]}}"),
+        "config error: scenario: field scenario.h1 non-finite at node"),
+    "h0-not-positive": (_scalar_inline("[[-1]]", "{constant: [[1]]}"),
+                        "config error: scenario: h0 is not positive definite "
+                        "at x=0.0, t=0.0 (lambda_min=-1.0)"),
+    "infinite-courant-bound": (
+        _scalar_inline("[[1]]", "{constant: [[1e308]]}"),
+        "config error: scenario: the Courant bound at speed 1e+308"),
+}
+
+
+class TestRefusedConfigs:
+    @pytest.mark.parametrize("name", list(REFUSED_CONFIGS))
+    def test_exits_2_with_config_error(self, name, tmp_path, capsys):
+        text, line = REFUSED_CONFIGS[name]
+        cfg = _cfg_file(tmp_path, text)
+        assert main(["check", "--config", cfg, "--nx", "21",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert line in err, err
+        assert all(m.startswith("config error: ")
+                   for m in err.splitlines()), err
+
+
+# Every config leaf drawn as valid, invalid, absent or of the wrong type,
+# with extra keys of mixed types and matrix literals that are not finite or
+# are huge.  Valid values are small, so that no drawn run is slow.
+LITERALS = st.sampled_from([0, 1, -1, 2, 0.5, math.nan, math.inf, -math.inf,
+                            1e300, 1e308, -1e308, 10**400])
+KEYS = st.one_of(st.integers(-3, 3), st.text("abnT", max_size=2),
+                 st.booleans(), st.none())
+WRONG_TYPE = st.sampled_from([None, True, "text", [1, 2], {"k": 1}, 1.5, -7])
+
+
+def _matrix(n):
+    return st.lists(st.lists(LITERALS, min_size=n, max_size=n),
+                    min_size=n, max_size=n).map(
+        lambda rows: [[rows[min(i, j)][max(i, j)] for j in range(n)]
+                      for i in range(n)])
+
+
+def _field(n):
+    return st.one_of(
+        st.builds(lambda m: {"constant": m}, _matrix(n)),
+        st.builds(lambda b, s: {"affine": {"base": b, "slope": s}},
+                  _matrix(n), _matrix(n)),
+        WRONG_TYPE)
+
+
+def _inline(n):
+    return st.fixed_dictionaries(
+        {"n": st.just(n), "h0": _field(n), "h1": _field(n)},
+        optional={"p": _field(n), "name": st.text("xy", max_size=3)})
+
+
+LEAF_VALUES = {
+    "experiment": (st.sampled_from(EXPERIMENTS), st.just("nosuch")),
+    "scenario": (st.one_of(st.sampled_from(["transport", "coupled-varying",
+                                            "wave-type"]),
+                           st.integers(1, 2).flatmap(_inline)),
+                 st.sampled_from(["nosuch", {"n": 0}])),
+    "grid.nx": (st.sampled_from([3, 21]), st.sampled_from([2, -1])),
+    "grid.nt": (st.sampled_from(["auto", None, 50]), st.just(1)),
+    "T": (st.sampled_from([0.5, 2.0]), st.sampled_from([0, -1, math.nan])),
+    "domain": (st.sampled_from([[0.0, 1.0], [-1.0, 2.0]]),
+               st.sampled_from([[1.0, 0.0], [0.0, math.inf]])),
+    "cfl_factor": (st.sampled_from([0.5, 1.0]), st.sampled_from([0, 1.5])),
+    "weight.eta": (st.sampled_from([{"linear": {"a": 1.0}},
+                                    {"linear": {"a": -1.0, "b": 2}}]),
+                   st.sampled_from([{"linear": {"c": 1}}, {"quad": {}}])),
+    "weight.beta": (st.sampled_from(["auto", 0.5]), st.sampled_from([0, -1])),
+    "s_grid": (st.just([1, 2]), st.sampled_from([[], [0]])),
+    "ensemble.size": (st.just(2), st.just(0)),
+    "ensemble.modes": (st.just(2), st.just(0)),
+    "ensemble.decay": (st.just(2.0), st.just(math.nan)),
+    "seed": (st.just(3), st.just(-1)),
+    "out_dir": (st.just("out"), st.just("")),
+    "initial.kind": (st.sampled_from(INITIAL_KINDS), st.just("nosuch")),
+    "initial.mode": (st.just(1), st.just(0)),
+    "initial.modes": (st.just(2), st.just(0)),
+    "initial.decay": (st.just(2.0), st.just(math.inf)),
+    "initial.support": (st.just([0.0, 0.4]), st.just([0.4, 0.0])),
+    "initial.amplitude": (st.just(1.0), st.just(-math.inf)),
+}
+
+
+def _leaf_name(leaf):
+    return f"{leaf[0]}.{leaf[1]}" if leaf[0] else leaf[1]
+
+
+@st.composite
+def documents(draw):
+    """A YAML config; half of them have only valid or absent leaves, so
+    that runs, and not only refusals, are drawn."""
+    clean = draw(st.booleans())
+    kinds = ("absent", "valid") + (() if clean else ("invalid", "wrong"))
+    doc = {}
+    for leaf in _LEAVES:
+        valid, invalid = LEAF_VALUES[_leaf_name(leaf)]
+        kind = draw(st.sampled_from(kinds))
+        if kind != "absent":
+            node = doc.setdefault(leaf[0], {}) if leaf[0] else doc
+            node[leaf[1]] = draw({"valid": valid, "invalid": invalid,
+                                  "wrong": WRONG_TYPE}[kind])
+    if not clean:
+        for node in [doc] + [v for v in doc.values() if isinstance(v, dict)]:
+            for key in draw(st.lists(KEYS, max_size=2)):
+                node.setdefault(key, draw(LITERALS))
+        if draw(st.booleans()):  # a whole section of the wrong type
+            doc[draw(st.sampled_from(["grid", "weight", "initial"]))] = \
+                draw(WRONG_TYPE)
+    return yaml.safe_dump(doc, sort_keys=False)
+
+
+class TestConfigProperty:
+    def test_every_leaf_has_values(self):
+        assert set(LEAF_VALUES) == set(map(_leaf_name, _LEAVES))
+
+    @settings(deadline=None, max_examples=30)
+    @given(text=documents())
+    def test_refusal_or_run_never_a_traceback(self, text, tmp_path_factory):
+        try:
+            assert isinstance(parse_config(text), RunConfig)
+        except ConfigError:
+            pass
+        work = tmp_path_factory.mktemp("prop")
+        cfg = _cfg_file(work, text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["check", "--config", cfg, "--nx", "21",
+                         "--out", str(work / "out")])
+        assert code in (0, 1, 2), text
+        if code == 2:
+            assert err.getvalue().startswith("config error: "), text

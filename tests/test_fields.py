@@ -22,14 +22,13 @@ from symhyp import (
     bump_profile,
     central_derivative,
     eig_bounds,
-    min_max_eigenvalues,
     random_initial_profile,
     random_smooth_gridfunction,
     random_smooth_separable,
     sample_field,
     symmetry_defect,
 )
-from symhyp.fields import _char_speeds
+from symhyp.fields import _char_speeds, _closure_projectors
 
 
 class TestSpaceTimeGrid:
@@ -137,25 +136,22 @@ class TestSampleField:
 
 
 class TestMinMaxEigenvalues:
+    """eig_bounds: the extreme eigenvalues of one matrix or of a stack."""
+
     def test_two_by_two(self):
-        assert min_max_eigenvalues([[2.0, 1.0], [1.0, 2.0]]) == \
+        assert eig_bounds(np.array([[2.0, 1.0], [1.0, 2.0]])) == \
             pytest.approx((1.0, 3.0), abs=1e-12)
 
     def test_identity_three(self):
-        assert min_max_eigenvalues(np.eye(3)) == pytest.approx((1.0, 1.0))
+        assert eig_bounds(np.eye(3)) == pytest.approx((1.0, 1.0))
 
     def test_indefinite(self):
-        assert min_max_eigenvalues([[0.0, 1.0], [1.0, 0.0]]) == \
+        assert eig_bounds(np.array([[0.0, 1.0], [1.0, 0.0]])) == \
             pytest.approx((-1.0, 1.0), abs=1e-12)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(AsymmetricFieldError):
-            min_max_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_characteristic_polynomial(self, n):
-        # independent oracle: roots of the analytically assembled char poly,
-        # for one matrix at a time and for eig_bounds on the whole stack
+        # independent oracle: roots of the analytically assembled char poly
         rng = np.random.default_rng(42)
         a = rng.standard_normal((50, n, n))
         stack = a + np.swapaxes(a, -1, -2)
@@ -170,10 +166,8 @@ class TestMinMaxEigenvalues:
                              for i in range(3) for j in range(i + 1, 3))
                 coeffs = [1.0, -np.trace(mat), minors, -np.linalg.det(mat)]
             roots = np.sort(np.roots(coeffs).real)
-            for lmin, lmax in (min_max_eigenvalues(mat),
-                               (stack_min[k], stack_max[k])):
-                assert lmin == pytest.approx(roots[0], abs=1e-8)
-                assert lmax == pytest.approx(roots[-1], abs=1e-8)
+            assert stack_min[k] == pytest.approx(roots[0], abs=1e-8)
+            assert stack_max[k] == pytest.approx(roots[-1], abs=1e-8)
 
 
 def _spd(rng, n, cond):
@@ -253,6 +247,47 @@ class TestNodeSpeeds:
         if kind == "zero":
             assert np.all(samples.speeds == 0.0)
             assert admissible_time_nodes(sc) == 2
+
+
+class TestBoundaryFlux:
+    """The boundary flux and closure read the h1 samples' end columns.
+
+    On 50 nodes the last node of (0, 1) is x = 1 - 2^-53, so h1 = x at that
+    node and at x_hi = 1 differ in the last bit."""
+
+    GRID = SpaceTimeGrid(0.0, 1.0, 1.0, 50, 7)
+
+    def scenario(self, h0, h1):
+        assert self.GRID.x[-1] != self.GRID.x_hi
+        return Scenario(name="ramp", grid=self.GRID, n_comp=h0.n_comp,
+                        h0=h0, h1=h1, eta=SpatialWeight.linear(1.0), beta=0.5)
+
+    def test_flux_is_the_h1_end_columns(self):
+        samples = self.scenario(SymMatrixField.constant([[1.0]]),
+                                SymMatrixField.affine([[0.0]], [[1.0]])).samples
+        shape = (self.GRID.nt, 1, 1)
+        assert np.array_equal(samples.flux[1],
+                              np.broadcast_to(samples.h1[:, -1], shape))
+        assert np.array_equal(samples.flux[0],
+                              np.broadcast_to(-samples.h1[:, 0], shape))
+
+    def test_closure_reads_h0_and_h1_at_one_node(self):
+        # h0 and h1 both vary in x, and the eigenvectors of (h1, h0) move
+        # with x, so the last bit of x reaches the projectors
+        samples = self.scenario(
+            SymMatrixField.affine([[2.0, 0.5], [0.5, 1.0]],
+                                  [[1.0, 0.0], [0.0, 0.0]]),
+            SymMatrixField.affine([[0.0, 1.0], [1.0, 0.5]],
+                                  [[1.0, 0.0], [0.0, 0.0]])).samples
+        h0b = np.stack([samples.h0[:, 0], samples.h0[:, -1]])
+        flux = np.stack([-samples.h1[:, 0], samples.h1[:, -1]])
+        at_x_hi = flux.copy()
+        at_x_hi[1, :, 0, 0] = 1.0
+        for got, want, off in zip(samples.closure,
+                                  _closure_projectors(flux, h0b),
+                                  _closure_projectors(at_x_hi, h0b)):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(off[1], want[1])
 
 
 class TestCentralDerivative:

@@ -111,11 +111,6 @@ class TestEtaCoercivity:
         sc = scalar_scenario(eta_slope=2.0)
         assert check_eta_coercivity(sc).value == pytest.approx(2.0, abs=1e-12)
 
-    def test_safety_margin_raises_the_bar(self):
-        sc = scalar_scenario(eta_slope=2.0)
-        assert check_eta_coercivity(sc, margin=1.5).passed
-        assert not check_eta_coercivity(sc, margin=2.5).passed
-
 
 class TestH0Bounds:
     def test_identity(self):
