@@ -42,7 +42,6 @@ from .fields import (
     central_derivative,
     eig_bounds,
     random_initial_profile,
-    random_smooth_gridfunction,
     random_smooth_separable,
     sample_field,
     symmetry_defect,

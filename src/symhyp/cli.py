@@ -44,7 +44,7 @@ from .fields import (
     Scenario,
     bump_profile,
     random_initial_profile,
-    random_smooth_gridfunction,
+    random_smooth_separable,
 )
 from .functionals import conjugation_defect, ibp_identity_defect
 from .hypotheses import check_hypotheses
@@ -294,13 +294,11 @@ def _run_carleman(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
 
 def _run_observability(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     spec = cfg.initial
-    # a sine profile is a single deterministic member, not an ensemble
-    members = [_initial_data(cfg, scenario)] if spec.kind == "sine" else None
+    # sine and bump are one deterministic member each, not an ensemble
+    members = None if spec.kind == "random" else [_initial_data(cfg, scenario)]
     report = estimate_observability(
-        scenario, ensemble=cfg.ensemble, seed=cfg.seed,
-        initial_kind=spec.kind if members is None else "random",
-        modes=spec.modes, decay=spec.decay, support=spec.support,
-        amplitude=spec.amplitude, cfl_factor=cfg.cfl_factor, members=members)
+        scenario, ensemble=cfg.ensemble, seed=cfg.seed, modes=spec.modes,
+        decay=spec.decay, cfl_factor=cfg.cfl_factor, members=members)
     _write_csv(out / "observability.csv", ("scenario", "member", "ratio"),
                _table((report.scenario, i, r)
                       for i, r in enumerate(report.ratios)))
@@ -344,8 +342,9 @@ def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
 def _run_identities(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     def defects(sc: Scenario) -> list[float]:
         # the member dies on return, so one dense member is alive at a time
-        w = random_smooth_gridfunction(sc.grid, sc.n_comp, cfg.seed,
-                                       modes=cfg.modes, decay=cfg.decay)
+        w = random_smooth_separable(sc.grid, sc.n_comp, cfg.seed,
+                                    modes=cfg.modes,
+                                    decay=cfg.decay).materialize()
         return [ibp_identity_defect(sc.h1, w, "x"),
                 ibp_identity_defect(sc.h0, w, "t"),
                 *(conjugation_defect(w, sc, s) for s in cfg.s_grid)]

@@ -367,7 +367,9 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
 
     Returns (scenario, info) where info records how beta and nt were
     resolved; beta="auto" is replaced through the admissible-window midpoint
-    and recorded.  Raises ConfigError when resolution is impossible.
+    and recorded.  The returned scenario's coefficient samples are built
+    here, whatever grid.nt is.  Raises ConfigError when resolution is
+    impossible, and sample_field's error when sampling fails.
     """
     auto_beta = cfg.beta == "auto"
     errors: list[str] = []
@@ -397,6 +399,7 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
         scenario = replace(scenario, beta=selection.beta)
         info["beta_selection"] = selection
 
+    scenario.samples  # so that sampling fails here, whatever grid.nt is
     info["beta"] = scenario.beta
     info["nx"] = scenario.grid.nx
     info["nt"] = scenario.grid.nt

@@ -6,10 +6,12 @@ their own discrete residual.  The observability and energy studies use
 genuine zero-inflow solves of the homogeneous system, as those statements
 require, one `solve` per member, streamed into a `MarchRecord` that keeps
 the initial row, the boundary traces and the row energies, never the
-solution.  Every study builds the hypothesis report that `check` prints
-and refuses to run through `HypothesisReport.require` when one of its
-structural hypotheses fails: the refusal names each failed check with its
-worst node and value and carries the report.  Every aggregation is a max
+solution.  Both take their members alike: seeded band-limited initial
+rows (`random_initial_profile`), or explicit initial rows in their place.
+Every study builds the hypothesis report that `check` prints and refuses
+to run through `HypothesisReport.require` when one of its structural
+hypotheses fails: the refusal names each failed check with its worst node
+and value and carries the report.  Every aggregation is a max
 over non-degenerate members, so adding members can only grow the
 estimated constants.
 """
@@ -25,7 +27,6 @@ from .fields import (
     GridFunction,
     Scenario,
     SeparableGridFunction,
-    bump_profile,
     random_initial_profile,
     random_smooth_separable,
 )
@@ -196,13 +197,12 @@ def scan_carleman(scenario: Scenario, ensemble: int = 20,
                   refine: bool = True) -> CarlemanScanReport:
     """Estimate the weighted-estimate constant over a manufactured ensemble.
 
-    Member i is the seeded smooth grid function with seed `seed + i`
-    (`random_smooth_separable`, the factored form of
-    `random_smooth_gridfunction`), with its discrete residual taken as the
-    source; the per-s maximum ratio over the ensemble is aggregated and the
-    stabilized tail gives (s0_hat, c_hat).  With refine=True the identical
-    smooth functions are resampled on the node-doubled grid and the
-    relative drift of c_hat is reported.
+    Member i is the seeded smooth grid function with seed `seed + i`,
+    held as factors (`random_smooth_separable`), with its discrete
+    residual taken as the source; the per-s maximum ratio over the
+    ensemble is aggregated and the stabilized tail gives (s0_hat, c_hat).
+    With refine=True the identical smooth functions are resampled on the
+    node-doubled grid and the relative drift of c_hat is reported.
 
     Explicit `members`, dense or separable, replace the generated ensemble
     (refinement is skipped then, since arbitrary samples cannot be
@@ -256,21 +256,18 @@ def _march_pass(scenario: Scenario, members, cfl_factor: float,
 
 
 def estimate_observability(scenario: Scenario, ensemble: int = 20,
-                           seed: int = 0, initial_kind: str = "random",
-                           modes: int = 3, decay: float = 2.0,
-                           support: tuple[float, float] = (0.0, 0.4),
-                           amplitude: float = 1.0,
+                           seed: int = 0, modes: int = 3, decay: float = 2.0,
                            cfl_factor: float = CFL_DEFAULT,
                            members: list[np.ndarray] | None = None
                            ) -> ObservabilityReport:
     """Solve the homogeneous system per member and aggregate trace ratios.
 
-    Zero inflow throughout; initial data is either the seeded band-limited
-    sine ensemble ("random") or the compactly supported bump ("bump"), a
-    single deterministic member to which `ensemble` does not apply.
-    The verdict is OBSERVABLE only when the horizon exceeds the critical
-    time and every non-degenerate ratio is finite; otherwise the worst
-    member is recorded as the counterexample.
+    Zero inflow throughout.  Member i is the seeded band-limited sine
+    profile with seed `seed + i` (`random_initial_profile`); explicit
+    initial rows `members` replace the ensemble, as in
+    `verify_energy_estimate`.  The verdict is OBSERVABLE only when the
+    horizon exceeds the critical time and every non-degenerate ratio is
+    finite; otherwise the worst member is recorded as the counterexample.
     """
     scenario = _homogeneous(scenario)
     report = check_hypotheses(scenario)
@@ -281,19 +278,10 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         f"T={scenario.grid.t_final!r} does not exceed the critical time "
         f"T_min={t_min!r}; proceeding (counterexample study)",)
 
-    if members is None and initial_kind not in ("random", "bump"):
-        raise ValueError(f"unknown initial_kind {initial_kind!r}")
-    if initial_kind == "bump":
-        ensemble = 1  # one deterministic member
-
-    def make_member(grid, i):
-        if initial_kind == "bump":
-            return bump_profile(grid, support, scenario.n_comp, amplitude)
-        return random_initial_profile(grid, scenario.n_comp, seed + i,
-                                      modes=modes, decay=decay)
-
     _, ratios, _, _ = _two_grids(
-        scenario, members, ensemble, make_member,
+        scenario, members, ensemble,
+        make_member=lambda grid, i: random_initial_profile(
+            grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
         run_pass=lambda sc, ms: [
             record.observability_ratio()
             for record in _march_pass(sc, ms, cfl_factor)],

@@ -11,10 +11,11 @@ also owns the node speeds and boundary closure projectors the marcher reads.
 
 Grid functions come in two storages.  `GridFunction` holds every sample.
 `SeparableGridFunction` holds a low-rank factorization u = X T^T, an x
-factor per component and a t factor; the seeded smooth ensemble members
-are of this kind (`random_smooth_separable`), and the weighted quadrature
-reads its time rows, boundary columns and weighted norm from the factors
-without forming the (nt, nx, n) samples.
+factor per component and a t factor.  The seeded smooth member is of this
+kind (`random_smooth_separable`), and its one dense form is its
+`materialize`.  The weighted quadrature reads its time rows, boundary
+columns and weighted norm from the factors without forming the (nt, nx, n)
+samples.
 
 Only one spatial dimension is implemented, but every type carries enough
 structure (normals, node indexing, component counts) that a rectangle
@@ -374,10 +375,12 @@ def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
     first time row only and broadcast over t.  Raises FieldEvaluationError
     naming the first offending node if any entry is non-finite, and
     AsymmetricFieldError if a SymMatrixField violates the sampled-symmetry
-    tolerance.
+    tolerance.  An overflow is refused as the non-finite sample it makes,
+    without a numpy warning.
     """
     x, t = grid.meshgrid()
-    vals = field(x, t[:1] if field.time_independent else t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = field(x, t[:1] if field.time_independent else t)
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         xi, tn = grid.node(int(bad[1]), int(bad[0]))
@@ -417,22 +420,39 @@ def eig_bounds(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Closed forms for n = 1 and n = 2, with no LAPACK call per matrix;
     `eigvalsh` otherwise.  Inputs are assumed symmetric: validated field
-    samples, or pencils whitened by `_whiten` for the node speeds.
+    samples, or pencils whitened by `_whiten` for the node speeds.  Where
+    the n = 2 form overflows (entries past about 1e154), it is taken again
+    on the matrix divided by its largest |entry| and scaled back.
     """
     mats = np.asarray(mats, dtype=float)
     n = mats.shape[-1]
     if n == 1:
         v = mats[..., 0, 0]
         return v, v
-    if n == 2:
-        a = mats[..., 0, 0]
-        c = mats[..., 1, 1]
-        b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
-        mid = 0.5 * (a + c)
-        rad = np.sqrt(0.25 * (a - c) ** 2 + b ** 2)
-        return mid - rad, mid + rad
-    w = np.linalg.eigvalsh(mats)
-    return w[..., 0], w[..., -1]
+    if n > 2:
+        w = np.linalg.eigvalsh(mats)
+        return w[..., 0], w[..., -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = _eig2(mats)
+        bad = ~(np.isfinite(lo) & np.isfinite(hi))
+        if bad.any():
+            lo, hi = np.array(lo), np.array(hi)
+            big = mats[bad]
+            scale = np.max(np.abs(big), axis=(-2, -1))
+            slo, shi = _eig2(big / scale[:, None, None])
+            lo[bad], hi[bad] = slo * scale, shi * scale
+    return lo, hi
+
+
+def _eig2(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda_min, lambda_max) of a stack of symmetric 2 x 2 matrices in
+    closed form."""
+    a = mats[..., 0, 0]
+    c = mats[..., 1, 1]
+    b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
+    mid = 0.5 * (a + c)
+    rad = np.sqrt(0.25 * (a - c) ** 2 + b ** 2)
+    return mid - rad, mid + rad
 
 
 def _inverse_factor(h0m: np.ndarray) -> np.ndarray:
@@ -679,11 +699,18 @@ def check_same_grid(u: GridFunction | SeparableGridFunction,
 # seeded ensembles
 # ---------------------------------------------------------------------------
 
-def _smooth_factors(grid: SpaceTimeGrid, n_comp: int, seed: int, modes: int,
-                    decay: float) -> tuple[np.ndarray, ...]:
-    """(Bx, C, Bt) of the seeded smooth member: component j is
-    Bx C[j] Bt^T, with Bx (nx, 2 modes), C (n, 2 modes, 2 modes) and
-    Bt (nt, 2 modes)."""
+def random_smooth_separable(grid: SpaceTimeGrid, n_comp: int, seed: int,
+                            modes: int = 4,
+                            decay: float = 2.0) -> SeparableGridFunction:
+    """Truncated trigonometric series in (x, t) with seeded coefficients,
+    held as factors of rank 2 modes; `materialize` gives its samples.
+
+    Component j is sum over 1 <= k, m <= modes of
+    a_jkm * sin(k*pi*xh + theta) * sin(m*pi*th + psi), with xh, th the
+    coordinates normalized to [0, 1], a_jkm drawn from a seeded normal and
+    scaled by (k*m)^(-decay).  The draw depends only on (seed, n_comp, modes),
+    so refining the grid resamples the very same smooth function.
+    """
     if modes < 1:
         raise ValueError(f"modes must be >= 1 (got {modes})")
     rng = np.random.default_rng(seed)
@@ -693,7 +720,8 @@ def _smooth_factors(grid: SpaceTimeGrid, n_comp: int, seed: int, modes: int,
 
     # sin(a + b) = sin a cos b + cos a sin b splits every term into an x
     # factor and a t factor: component j is B(xh) C_j B(th)^T with the
-    # basis B(h) = [sin(k pi h) | cos(k pi h)]
+    # basis B(h) = [sin(k pi h) | cos(k pi h)]; x_factor is B(xh) C and
+    # t_factor B(th)
     wave = np.arange(1, modes + 1.0)
     coef = amp * np.outer(wave, wave) ** (-decay)
     ct, st = np.cos(theta), np.sin(theta)
@@ -707,32 +735,8 @@ def _smooth_factors(grid: SpaceTimeGrid, n_comp: int, seed: int, modes: int,
 
     xh = (grid.x - grid.x_lo) / (grid.x_hi - grid.x_lo)
     th = grid.t / grid.t_final
-    return basis(xh), cmat, basis(th)
-
-
-def random_smooth_gridfunction(grid: SpaceTimeGrid, n_comp: int, seed: int,
-                               modes: int = 4,
-                               decay: float = 2.0) -> GridFunction:
-    """Truncated trigonometric series in (x, t) with seeded coefficients.
-
-    Component j is sum over 1 <= k, m <= modes of
-    a_jkm * sin(k*pi*xh + theta) * sin(m*pi*th + psi), with xh, th the
-    coordinates normalized to [0, 1], a_jkm drawn from a seeded normal and
-    scaled by (k*m)^(-decay).  The draw depends only on (seed, n_comp, modes),
-    so refining the grid resamples the very same smooth function.
-    """
-    bx, cmat, bt = _smooth_factors(grid, n_comp, seed, modes, decay)
-    vals = np.einsum("xk,jkm,tm->txj", bx, cmat, bt, optimize=True)
-    return GridFunction(grid, vals)
-
-
-def random_smooth_separable(grid: SpaceTimeGrid, n_comp: int, seed: int,
-                            modes: int = 4,
-                            decay: float = 2.0) -> SeparableGridFunction:
-    """The member of `random_smooth_gridfunction` with the same arguments,
-    as factors of rank 2 modes: x_factor Bx C, t_factor Bt."""
-    bx, cmat, bt = _smooth_factors(grid, n_comp, seed, modes, decay)
-    return SeparableGridFunction(grid, np.einsum("xk,jkm->xjm", bx, cmat), bt)
+    return SeparableGridFunction(
+        grid, np.einsum("xk,jkm->xjm", basis(xh), cmat), basis(th))
 
 
 def random_initial_profile(grid: SpaceTimeGrid, n_comp: int, seed: int,

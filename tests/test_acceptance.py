@@ -16,6 +16,7 @@ from symhyp import (
     SpaceTimeGrid,
     SymMatrixField,
     build_scenario,
+    bump_profile,
     carleman_ratio,
     carleman_terms,
     check_eta_coercivity,
@@ -26,7 +27,7 @@ from symhyp import (
     conjugation_defect,
     estimate_observability,
     ibp_identity_defect,
-    random_smooth_gridfunction,
+    random_smooth_separable,
     residual,
     scan_carleman,
     solve,
@@ -103,15 +104,17 @@ def test_criterion_4_identity_defects():
     grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)
     r_field = SymMatrixField.affine([[1.0, 0.0], [0.0, 1.0]],
                                     [[1.0, 0.0], [0.0, 0.0]])
-    w = random_smooth_gridfunction(grid, 2, seed=5)
-    w_fine = random_smooth_gridfunction(grid.refined(), 2, seed=5)
+    w = random_smooth_separable(grid, 2, seed=5).materialize()
+    w_fine = random_smooth_separable(grid.refined(), 2,
+                                     seed=5).materialize()
     ibp_ratio = (ibp_identity_defect(r_field, w, "x")
                  / ibp_identity_defect(r_field, w_fine, "x"))
 
     sc = build_scenario("coupled-spd", nx=101, nt=101)
     sc_fine = sc.with_grid(sc.grid.refined())
-    u = random_smooth_gridfunction(sc.grid, 2, seed=3)
-    u_fine = random_smooth_gridfunction(sc_fine.grid, 2, seed=3)
+    u = random_smooth_separable(sc.grid, 2, seed=3).materialize()
+    u_fine = random_smooth_separable(sc_fine.grid, 2,
+                                     seed=3).materialize()
     conj_ratio = (conjugation_defect(u, sc, s=4.0)
                   / conjugation_defect(u_fine, sc_fine, s=4.0))
 
@@ -129,7 +132,7 @@ def test_criterion_5_carleman_boundedness():
     finite = report.all_finite
     drift_ok = report.drift is not None and report.drift < 0.20
 
-    u = random_smooth_gridfunction(sc.grid, 2, seed=0)
+    u = random_smooth_separable(sc.grid, 2, seed=0).materialize()
     f = residual(u, sc)
     r1 = carleman_ratio(carleman_terms(u, f, sc, s=4.0))
     r3 = carleman_ratio(carleman_terms(u.scaled(3.0), f.scaled(3.0), sc, s=4.0))
@@ -144,8 +147,8 @@ def test_criterion_5_carleman_boundedness():
 
 def test_criterion_6_observability_positive():
     sc = build_scenario("transport", nx=401, t_final=1.5)
-    report = estimate_observability(sc, ensemble=20, seed=0,
-                                    initial_kind="random", modes=3, decay=2.0)
+    report = estimate_observability(sc, ensemble=20, seed=0, modes=3,
+                                    decay=2.0)
     ok = report.verdict == "OBSERVABLE" and report.c_obs <= 1.1
     _report("criterion 6 (observability, positive direction)", ok,
             f"C_obs={report.c_obs:.4f} <= 1.1, verdict={report.verdict}")
@@ -155,9 +158,8 @@ def test_criterion_7_observability_counterexample():
     ratios = {}
     for nx in (401, 801):
         sc = build_scenario("transport", nx=nx, t_final=0.5)
-        report = estimate_observability(sc, ensemble=1, seed=0,
-                                        initial_kind="bump",
-                                        support=(0.0, 0.4))
+        report = estimate_observability(
+            sc, members=[bump_profile(sc.grid, (0.0, 0.4), sc.n_comp)])
         ratios[nx] = report.c_obs
         assert report.verdict == "COUNTEREXAMPLE"
     growing = ratios[801] > ratios[401] or math.isinf(ratios[801])

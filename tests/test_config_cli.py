@@ -12,8 +12,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symhyp import cli
-from symhyp import ConfigError, parse_config, resolve_scenario, serialize_config
+from symhyp import (
+    ConfigError,
+    SeparableGridFunction,
+    parse_config,
+    resolve_scenario,
+    serialize_config,
+)
 from symhyp.cli import list_scenarios, main, run
 from symhyp.config import _LEAVES, EXPERIMENTS, INITIAL_KINDS, RunConfig
 
@@ -280,6 +285,34 @@ class TestCliRuns:
         assert "warning" in out
         assert (tmp_path / "out" / "observability.csv").exists()
 
+    def test_observe_bump_is_one_member(self, tmp_path):
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 51}\n"
+                                  "T: 0.5\nensemble: 3\n"
+                                  "initial: {kind: bump}\n"
+                                  f"out_dir: {tmp_path}/out\n")
+        assert main(["observe", "--config", cfg]) == 0
+        rows = (tmp_path / "out" / "observability.csv").read_text()
+        # the header and the one bump member, whatever the ensemble size
+        assert len(rows.splitlines()) == 2
+        assert rows.splitlines()[1].startswith("transport,0,")
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_flux_is_classified(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, "scenario:\n  n: 2\n"
+                        "  h0: {constant: [[1, 0], [0, 1]]}\n"
+                        "  h1: {constant: [[1.0e300, 0], [0, 2.0e300]]}\n"
+                        "grid: {nx: 21, nt: 50}\nT: 1\nweight: {beta: 1}\n"
+                        f"out_dir: {tmp_path}/out\n")
+        assert main(["check", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "overall=pass" in captured.out
+        with open(tmp_path / "out" / "boundary_classification.csv",
+                  newline="") as fh:
+            labels = {(row["side"], row["label"])
+                      for row in csv.DictReader(fh)}
+        assert labels == {("x_lo", "MINUS"), ("x_hi", "PLUS")}
+
     def test_energy_run(self, tmp_path, capsys):
         cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 51}\n"
                                   f"ensemble: 2\nout_dir: {tmp_path}/out\n")
@@ -298,15 +331,15 @@ class TestCliRuns:
     def test_identities_hold_one_member_at_a_time(self, tmp_path,
                                                   monkeypatch):
         made, alive_at_make = [], []
-        make = cli.random_smooth_gridfunction
+        materialize = SeparableGridFunction.materialize
 
-        def tracked(*args, **kwargs):
+        def tracked(self):
             alive_at_make.append([ref() is not None for ref in made])
-            member = make(*args, **kwargs)
+            member = materialize(self)
             made.append(weakref.ref(member))
             return member
 
-        monkeypatch.setattr(cli, "random_smooth_gridfunction", tracked)
+        monkeypatch.setattr(SeparableGridFunction, "materialize", tracked)
         cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
                                   f"s_grid: [1]\nout_dir: {tmp_path}/out\n")
         main(["identities", "--config", cfg])
@@ -424,6 +457,29 @@ class TestRefusedConfigs:
         assert line in err, err
         assert all(m.startswith("config error: ")
                    for m in err.splitlines()), err
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampling_refusal_does_not_depend_on_nt(self, tmp_path, capsys):
+        text = REFUSED_CONFIGS["overflowing-samples"][0]
+        errs = []
+        for nt in ("auto", "50"):
+            cfg = _cfg_file(tmp_path, text + f"grid: {{nt: {nt}}}\n")
+            assert main(["check", "--config", cfg, "--nx", "21",
+                         "--out", str(tmp_path / "out")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("config error: scenario: field "
+                                  "scenario.h1 non-finite at node")
+
+    def test_check_with_fixed_nt_reports_h0_as_failed(self, tmp_path, capsys):
+        # only the node speeds refuse an h0 that is not positive definite,
+        # and a fixed nt needs none
+        cfg = _cfg_file(tmp_path, _scalar_inline("[[-1]]", "{constant: [[1]]}")
+                        + "grid: {nt: 50}\n")
+        assert main(["check", "--config", cfg, "--nx", "21",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "verdict.h0_bounds=FAIL" in capsys.readouterr().out
 
 
 # Every config leaf drawn as valid, invalid, absent or of the wrong type,

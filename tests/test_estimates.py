@@ -19,6 +19,7 @@ from symhyp import (
     SpatialWeight,
     SymMatrixField,
     build_scenario,
+    bump_profile,
     check_hypotheses,
     estimate_observability,
     random_smooth_separable,
@@ -106,8 +107,7 @@ class TestScanCarleman:
     def test_zero_member_does_not_poison_aggregation(self):
         sc = build_scenario("coupled-spd", nx=31, nt=41)
         zero = GridFunction.zeros(sc.grid, 2)
-        from symhyp import random_smooth_gridfunction
-        live = random_smooth_gridfunction(sc.grid, 2, seed=1)
+        live = random_smooth_separable(sc.grid, 2, seed=1).materialize()
         report = scan_carleman(sc, s_grid=(1.0, 2.0), members=[zero, live])
         assert report.coarse.degenerate == 1
         assert all(math.isfinite(r) for r in report.rho_max)
@@ -248,20 +248,14 @@ class TestEstimateObservability:
         ratios = {}
         for nx in (101, 201):
             sc = build_scenario("transport", nx=nx, t_final=0.5)
-            report = estimate_observability(sc, ensemble=1, seed=0,
-                                            initial_kind="bump",
-                                            support=(0.0, 0.4))
+            report = estimate_observability(
+                sc, members=[bump_profile(sc.grid, (0.0, 0.4), sc.n_comp)])
             assert report.verdict == "COUNTEREXAMPLE"
             assert report.warnings  # T below the critical time
             assert report.counterexample is not None
             ratios[nx] = report.c_obs
         assert ratios[101] > 10.0
         assert ratios[201] > ratios[101]
-
-    def test_bump_is_one_member(self):
-        sc = build_scenario("transport", nx=51, t_final=0.5)
-        report = estimate_observability(sc, ensemble=3, initial_kind="bump")
-        assert len(report.ratios) == 1
 
     def test_members_made_as_the_pass_reaches_them(self, monkeypatch):
         events = []
@@ -280,11 +274,6 @@ class TestEstimateObservability:
         sc = build_scenario("transport", nx=51, t_final=1.5)
         estimate_observability(sc, ensemble=3)
         assert events == ["make", "solve"] * 3
-
-    def test_unknown_initial_kind_refused(self):
-        sc = build_scenario("transport", nx=51, t_final=1.5)
-        with pytest.raises(ValueError, match="unknown initial_kind"):
-            estimate_observability(sc, initial_kind="step")
 
     def test_zero_member_degenerate(self):
         sc = build_scenario("transport", nx=51, t_final=1.5)

@@ -23,7 +23,6 @@ from symhyp import (
     central_derivative,
     eig_bounds,
     random_initial_profile,
-    random_smooth_gridfunction,
     random_smooth_separable,
     sample_field,
     symmetry_defect,
@@ -168,6 +167,24 @@ class TestMinMaxEigenvalues:
             roots = np.sort(np.roots(coeffs).real)
             assert stack_min[k] == pytest.approx(roots[0], abs=1e-8)
             assert stack_max[k] == pytest.approx(roots[-1], abs=1e-8)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_scaled_not_overflowed(self):
+        # the closed form squares entries past 1e154 to inf; such matrices
+        # are taken again scaled by their largest entry, the rest keep
+        # their bits
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((6, 2, 2))
+        stack = a + np.swapaxes(a, -1, -2)
+        want = eig_bounds(stack)
+        stack[[1, 4]] *= 1e300
+        lo, hi = eig_bounds(stack)
+        for got, ref in ((lo, want[0]), (hi, want[1])):
+            assert np.array_equal(got[[0, 2, 3, 5]], ref[[0, 2, 3, 5]])
+            np.testing.assert_allclose(got[[1, 4]], 1e300 * ref[[1, 4]],
+                                       rtol=1e-14)
+        assert eig_bounds(np.diag([1e300, 2e300])) == (1e300, 2e300)
 
 
 def _spd(rng, n, cond):
@@ -361,17 +378,6 @@ class TestSeparableGridFunction:
         with pytest.raises(FieldEvaluationError, match=name):
             SeparableGridFunction(unit_grid, **factors)
 
-    @pytest.mark.parametrize("n_comp, modes", [(1, 4), (2, 4), (3, 2)])
-    def test_materializes_the_dense_member(self, unit_grid, n_comp, modes):
-        sep = random_smooth_separable(unit_grid, n_comp, seed=6, modes=modes)
-        dense = random_smooth_gridfunction(unit_grid, n_comp, seed=6,
-                                           modes=modes)
-        assert sep.x_factor.shape == (101, n_comp, 2 * modes)
-        assert sep.t_factor.shape == (101, 2 * modes)
-        vals = sep.materialize().values
-        assert np.max(np.abs(vals - dense.values)) <= \
-            1e-14 * np.max(np.abs(dense.values))
-
     def test_rows_columns_and_norm_match_dense(self):
         grid = SpaceTimeGrid(0.0, 1.0, 2.0, 31, 45)
         sep = self.member(grid)
@@ -438,31 +444,35 @@ class TestSeparableGridFunction:
 
 class TestRandomEnsembles:
     def test_deterministic(self, unit_grid):
-        a = random_smooth_gridfunction(unit_grid, 2, seed=7)
-        b = random_smooth_gridfunction(unit_grid, 2, seed=7)
+        a = random_smooth_separable(unit_grid, 2, seed=7).materialize()
+        b = random_smooth_separable(unit_grid, 2, seed=7).materialize()
         assert np.array_equal(a.values, b.values)
 
     def test_single_mode_degenerate(self, unit_grid):
-        gf = random_smooth_gridfunction(unit_grid, 1, seed=1, modes=1)
+        gf = random_smooth_separable(unit_grid, 1, seed=1,
+                                     modes=1).materialize()
         # one product mode: values factor as f(x) * g(t), rank one in (x, t)
         rank = np.linalg.matrix_rank(gf.values[:, :, 0], tol=1e-10)
         assert rank == 1
 
     def test_supnorm_fixture(self):
         grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)
-        gf = random_smooth_gridfunction(grid, 2, seed=3, modes=8, decay=2.0)
+        gf = random_smooth_separable(grid, 2, seed=3, modes=8,
+                                     decay=2.0).materialize()
         sup = float(np.max(np.abs(gf.values)))
         assert np.isfinite(sup)
         assert sup == pytest.approx(2.6183656816806584, rel=1e-9)
 
     def test_refinement_resamples_same_function(self, unit_grid):
-        coarse = random_smooth_gridfunction(unit_grid, 2, seed=11)
-        fine = random_smooth_gridfunction(unit_grid.refined(), 2, seed=11)
+        coarse = random_smooth_separable(unit_grid, 2, seed=11).materialize()
+        fine = random_smooth_separable(unit_grid.refined(), 2,
+                                       seed=11).materialize()
         assert np.allclose(fine.values[::2, ::2], coarse.values,
                            rtol=0, atol=1e-13)
 
     def test_matches_loop_form(self):
-        # the series summed term by term, as its docstring states it
+        # the series summed term by term, as its docstring states it, on
+        # the materialized member
         grid = SpaceTimeGrid(0.5, 2.0, 1.5, 41, 63)
         n_comp, seed, modes, decay = 3, 13, 5, 1.5
         rng = np.random.default_rng(seed)
@@ -480,13 +490,16 @@ class TestRandomEnsembles:
                         amp[j, k - 1, m - 1] * float(k * m) ** (-decay)
                         * np.sin(k * np.pi * xh + theta[j, k - 1, m - 1])
                         * np.sin(m * np.pi * th + psi[j, k - 1, m - 1]))
-        gf = random_smooth_gridfunction(grid, n_comp, seed=seed, modes=modes,
-                                        decay=decay)
+        sep = random_smooth_separable(grid, n_comp, seed=seed, modes=modes,
+                                      decay=decay)
+        assert sep.x_factor.shape == (grid.nx, n_comp, 2 * modes)
+        assert sep.t_factor.shape == (grid.nt, 2 * modes)
+        gf = sep.materialize()
         assert np.max(np.abs(gf.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_modes_validated(self, unit_grid):
         with pytest.raises(ValueError):
-            random_smooth_gridfunction(unit_grid, 1, seed=0, modes=0)
+            random_smooth_separable(unit_grid, 1, seed=0, modes=0)
 
     def test_initial_profile_vanishes_at_endpoints(self, unit_grid):
         prof = random_initial_profile(unit_grid, 2, seed=5)

@@ -30,7 +30,6 @@ from symhyp import (
     exact_transport,
     ibp_identity_defect,
     observability_ratio,
-    random_smooth_gridfunction,
     random_smooth_separable,
     residual,
     solve,
@@ -51,6 +50,12 @@ from conftest import (
     scalar_scenario,
     system_scenario,
 )
+
+
+def component_major(u: GridFunction) -> GridFunction:
+    """The same samples stored component-major, time fastest: strides
+    grow from the time axis to the component axis."""
+    return GridFunction(u.grid, np.ascontiguousarray(u.values.T).T)
 
 
 class TestCarlemanTermsBasics:
@@ -163,7 +168,7 @@ class TestQuadratureDoubleEntry:
 class TestHomogeneityAndMonotonicity:
     def test_quadratic_scaling_of_every_term(self):
         sc = scalar_scenario(nx=41, nt=41, beta=0.75)
-        u = random_smooth_gridfunction(sc.grid, 1, seed=9)
+        u = random_smooth_separable(sc.grid, 1, seed=9).materialize()
         f = residual(u, sc)
         base = carleman_terms(u, f, sc, s=3.0)
         scaled = carleman_terms(u.scaled(3.0), f.scaled(3.0), sc, s=3.0)
@@ -174,7 +179,7 @@ class TestHomogeneityAndMonotonicity:
     @given(c=st.floats(0.1, 8.0))
     def test_quadratic_scaling_property(self, c):
         sc = scalar_scenario(nx=21, nt=21, beta=0.75)
-        u = random_smooth_gridfunction(sc.grid, 1, seed=2)
+        u = random_smooth_separable(sc.grid, 1, seed=2).materialize()
         f = residual(u, sc)
         base = carleman_terms(u, f, sc, s=2.0)
         scaled = carleman_terms(u.scaled(c), f.scaled(c), sc, s=2.0)
@@ -183,7 +188,7 @@ class TestHomogeneityAndMonotonicity:
 
     def test_ratio_invariant_under_scaling(self):
         sc = scalar_scenario(nx=41, nt=41, beta=0.75)
-        u = random_smooth_gridfunction(sc.grid, 1, seed=9)
+        u = random_smooth_separable(sc.grid, 1, seed=9).materialize()
         f = residual(u, sc)
         r1 = carleman_ratio(carleman_terms(u, f, sc, s=2.0))
         r2 = carleman_ratio(carleman_terms(u.scaled(3.0), f.scaled(3.0),
@@ -211,7 +216,7 @@ class TestHomogeneityAndMonotonicity:
                       h1=SymMatrixField.constant([[1.0]]),
                       eta=SpatialWeight.linear(1.0, 1.0), beta=0.5)
         assert float(np.min(sc.eta(grid.x) - sc.beta * grid.t[:, None])) >= 0.0
-        u = random_smooth_gridfunction(grid, 1, seed=4)
+        u = random_smooth_separable(grid, 1, seed=4).materialize()
         f = residual(u, sc)
         logs = []
         for s in (0.5, 1.0, 2.0, 4.0, 8.0):
@@ -223,7 +228,7 @@ class TestHomogeneityAndMonotonicity:
     def test_term_signs_over_ensemble(self):
         sc = build_scenario("coupled-spd", nx=41, nt=81)
         for seed in range(5):
-            u = random_smooth_gridfunction(sc.grid, 2, seed=seed)
+            u = random_smooth_separable(sc.grid, 2, seed=seed).materialize()
             terms = carleman_terms(u, residual(u, sc), sc, s=2.0)
             assert terms.lhs_initial >= 0.0
             assert terms.lhs_volume >= 0.0
@@ -350,7 +355,8 @@ class TestDenseVolumeNorms:
         if kind == "solve":
             u = solve(sc, np.sin(np.pi * sc.grid.x[:, None] * [1.0, 2.0])).u
         else:
-            u = random_smooth_gridfunction(sc.grid, 2, seed=11)
+            u = component_major(random_smooth_separable(
+                sc.grid, 2, seed=11).materialize())
         src = residual(u, sc)
         carleman_terms(u, src, sc, 2.0)  # fill the sample set
         tracemalloc.start()
@@ -446,12 +452,14 @@ class TestEnergyLedger:
                 1, sc.n_comp + 1)))
         if kind == "component-major":
             sc = build_scenario("coupled-varying", nx=41, t_final=1.0)
-            return sc, random_smooth_gridfunction(sc.grid, 2, seed=9)
+            return sc, component_major(random_smooth_separable(
+                sc.grid, 2, seed=9).materialize())
         if kind == "n3":
             sc = system_scenario(np.diag([2.0, 1.0, 1.5]),
                                  [[1.0, 0.5, 0.0], [0.5, -1.0, 0.3],
                                   [0.0, 0.3, 0.4]], nx=41, nt=81)
-            return sc, random_smooth_gridfunction(sc.grid, 3, seed=10)
+            return sc, random_smooth_separable(sc.grid, 3,
+                                               seed=10).materialize()
         sc = build_scenario("coupled-spd", nx=41, t_final=1.0)
         return sc, GridFunction.zeros(sc.grid, 2)
 
@@ -480,7 +488,8 @@ class TestEnergyLedger:
         if kind == "solve":
             u = solve(sc, np.sin(np.pi * sc.grid.x[:, None] * [1.0, 2.0])).u
         else:
-            u = random_smooth_gridfunction(sc.grid, 2, seed=11)
+            u = component_major(random_smooth_separable(
+                sc.grid, 2, seed=11).materialize())
         energy_ledger(u, sc)  # fill the sample set's boundary data
         tracemalloc.start()
         try:
@@ -538,7 +547,7 @@ class TestBoundaryClassSwitch:
     def test_carleman_boundary_terms(self, s):
         sc = self.scenario()
         grid = sc.grid
-        u = random_smooth_gridfunction(grid, 2, seed=3)
+        u = random_smooth_separable(grid, 2, seed=3).materialize()
         terms = carleman_terms(u, residual(u, sc), sc, s)
         phi_max = grid.x_hi  # eta(x) - beta t peaks at (x_hi, 0)
         minus, rest = 0.0, 0.0
@@ -555,7 +564,7 @@ class TestBoundaryClassSwitch:
     def test_energy_ledger_boundary_terms(self):
         sc = self.scenario()
         grid = sc.grid
-        u = random_smooth_gridfunction(grid, 2, seed=5)
+        u = random_smooth_separable(grid, 2, seed=5).materialize()
         ledger = energy_ledger(u, sc)
         outflow, rest = np.zeros(grid.nt), np.zeros(grid.nt)
         for _, ub, flux, lab in self.oracle(sc, u).values():
@@ -620,9 +629,10 @@ class TestIdentityDefects:
         r_field = SymMatrixField.affine([[1.0, 0.0], [0.0, 1.0]],
                                         [[1.0, 0.0], [0.0, 0.0]])
         grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)
-        w = random_smooth_gridfunction(grid, 2, seed=5)
+        w = random_smooth_separable(grid, 2, seed=5).materialize()
         coarse = ibp_identity_defect(r_field, w, "x")
-        w_fine = random_smooth_gridfunction(grid.refined(), 2, seed=5)
+        w_fine = random_smooth_separable(grid.refined(), 2,
+                                         seed=5).materialize()
         fine = ibp_identity_defect(r_field, w_fine, "x")
         assert coarse == pytest.approx(0.0047755110411455345, rel=1e-9)
         assert coarse / fine >= 3.5
@@ -649,9 +659,9 @@ class TestConjugationDefect:
 
     def test_random_smooth_fixture(self):
         sc = build_scenario("coupled-spd", nx=101, nt=101)
-        u = random_smooth_gridfunction(sc.grid, 2, seed=3)
+        u = random_smooth_separable(sc.grid, 2, seed=3).materialize()
         coarse = conjugation_defect(u, sc, s=4.0)
         sc_fine = sc.with_grid(sc.grid.refined())
-        u_fine = random_smooth_gridfunction(sc_fine.grid, 2, seed=3)
+        u_fine = random_smooth_separable(sc_fine.grid, 2, seed=3).materialize()
         fine = conjugation_defect(u_fine, sc_fine, s=4.0)
         assert coarse / fine >= 3.5
