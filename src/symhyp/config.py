@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -334,27 +334,21 @@ def _entry(spec, t_final, beta, errors: list[str]) -> CatalogEntry | None:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical YAML rendering; parse_config(serialize_config(c)) == c."""
-    doc: dict[str, Any] = {
-        "experiment": cfg.experiment,
-        "scenario": cfg.scenario if isinstance(cfg.scenario, str)
-        else dict(cfg.scenario),
-        "grid": {"nx": cfg.nx, "nt": "auto" if cfg.nt is None else cfg.nt},
-        "domain": list(cfg.domain),
-        "cfl_factor": cfg.cfl_factor,
-        "weight": {"eta": {"linear": {"a": cfg.eta[0], "b": cfg.eta[1]}}},
-        "s_grid": list(cfg.s_grid),
-        "ensemble": {"size": cfg.ensemble, "modes": cfg.modes,
-                     "decay": cfg.decay},
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "initial": {k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in asdict(cfg.initial).items()},
-    }
-    if cfg.t_final is not None:
-        doc["T"] = cfg.t_final
-    if cfg.beta is not None:
-        doc["weight"]["beta"] = cfg.beta
+    """Canonical YAML rendering; parse_config(serialize_config(c)) == c.
+
+    Each leaf of `_LEAVES` is written where parse_config reads it."""
+    doc: dict[str, Any] = {}
+    for section, key, target, *_ in _LEAVES:
+        value = getattr(cfg.initial if section == "initial" else cfg, target)
+        if key == "nt" and value is None:
+            value = "auto"
+        elif key == "eta":
+            value = {"linear": {"a": value[0], "b": value[1]}}
+        elif value is None:
+            continue
+        elif isinstance(value, tuple):
+            value = list(value)
+        (doc.setdefault(section, {}) if section else doc)[key] = value
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 

@@ -6,8 +6,9 @@ on uniform tensor-product space-time grids; matrix fields carry the system
 size and an optional symmetry contract that is enforced at sampling time.
 Each scenario samples its coefficients once per grid (`Scenario.samples`),
 and every per-node quantity reads that sample set: the boundary flux its h1
-end columns, node-wise maps one blocked loop (`GridSamples.node_map`).  It
-also owns the node speeds and boundary closure projectors the marcher reads.
+end columns, the identity defects its h0 and h1, node-wise maps one blocked
+loop (`GridSamples.node_map`).  It also owns the node speeds and boundary
+closure projectors the marcher reads.
 
 Grid functions come in two storages.  `GridFunction` holds every sample.
 `SeparableGridFunction` holds a low-rank factorization u = X T^T, an x
@@ -282,9 +283,9 @@ def _difference(data: np.ndarray, ax: int, axis: str,
 class MatrixField:
     """N x N matrix coefficient evaluated at (x, t).
 
-    `fn` must accept broadcastable float arrays and return an array of shape
-    broadcast(x, t).shape + (n, n).  Use the constructors for the common
-    constant / affine-in-x cases; they produce vectorized closures.
+    `fn` must accept broadcastable float arrays and return an array
+    broadcastable to broadcast(x, t).shape + (n, n).  Use the constructors
+    for the common constant / affine-in-x cases.
     """
 
     n_comp: int
@@ -293,28 +294,17 @@ class MatrixField:
     time_independent: bool = False
 
     def __call__(self, x, t) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(x.shape, t.shape)
-        out = np.asarray(self.fn(x, t), dtype=float)
-        want = shape + (self.n_comp, self.n_comp)
-        if out.shape != want:
-            out = np.broadcast_to(out, want)
-        return out
+        return _evaluate(self.fn, x, t, (self.n_comp, self.n_comp))
 
     @classmethod
     def constant(cls, matrix, label: str = "") -> "MatrixField":
-        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+        mat = np.array(matrix, dtype=float, ndmin=2)
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise ValueError(f"matrix must be square (got shape {mat.shape})")
         cls._check_literal(mat)
-
-        def fn(x, t):
-            shape = np.broadcast_shapes(x.shape, t.shape)
-            return np.broadcast_to(mat, shape + (n, n))
-
-        return cls(n, fn, label=label, time_independent=True)
+        mat.flags.writeable = False  # a scalar (x, t) gets mat itself
+        return cls(n, lambda x, t: mat, label=label, time_independent=True)
 
     @classmethod
     def affine(cls, base, slope, label: str = "") -> "MatrixField":
@@ -326,12 +316,8 @@ class MatrixField:
         n = base.shape[0]
         cls._check_literal(base)
         cls._check_literal(slope)
-
-        def fn(x, t):
-            xb = np.broadcast_to(x, np.broadcast_shapes(x.shape, t.shape))
-            return base + xb[..., None, None] * slope
-
-        return cls(n, fn, label=label, time_independent=True)
+        return cls(n, lambda x, t: base + x[..., None, None] * slope,
+                   label=label, time_independent=True)
 
     @staticmethod
     def _check_literal(mat: np.ndarray) -> None:
@@ -358,25 +344,29 @@ class VectorField:
     label: str = ""
 
     def __call__(self, x, t) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(x.shape, t.shape)
-        out = np.asarray(self.fn(x, t), dtype=float)
-        want = shape + (self.n_comp,)
-        if out.shape != want:
-            out = np.broadcast_to(out, want)
-        return out
+        return _evaluate(self.fn, x, t, (self.n_comp,))
+
+
+def _evaluate(fn: Callable, x, t, tail: tuple[int, ...]) -> np.ndarray:
+    """fn(x, t) on float arrays, broadcast to broadcast(x, t).shape + tail
+    when its result is shorter: the one evaluation of every field."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = np.asarray(fn(x, t), dtype=float)
+    want = np.broadcast_shapes(x.shape, t.shape) + tail
+    return out if out.shape == want else np.broadcast_to(out, want)
 
 
 def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
-    """Evaluate a matrix field at every node, shape (nt, nx, n, n).
+    """Evaluate a matrix field at every node as `GridSamples` keeps it:
+    (nt, nx, n, n), or (1, nx, n, n) from the first time row alone for a
+    time-independent field.
 
-    The result is read-only; a time-independent field is evaluated on the
-    first time row only and broadcast over t.  Raises FieldEvaluationError
-    naming the first offending node if any entry is non-finite, and
-    AsymmetricFieldError if a SymMatrixField violates the sampled-symmetry
-    tolerance.  An overflow is refused as the non-finite sample it makes,
-    without a numpy warning.
+    The result is a read-only view; an array `fn` returns keeps its flags.
+    Raises FieldEvaluationError naming the first offending node if any entry
+    is non-finite, and AsymmetricFieldError if a SymMatrixField violates the
+    sampled-symmetry tolerance.  An overflow is refused as the non-finite
+    sample it makes, without a numpy warning.
     """
     x, t = grid.meshgrid()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -393,13 +383,14 @@ def sample_field(field: MatrixField, grid: SpaceTimeGrid) -> np.ndarray:
             raise AsymmetricFieldError(
                 f"field {field.label or '<unnamed>'} symmetry defect "
                 f"{defect:.3e} exceeds {SYMMETRY_TOL}", defect)
-    return np.broadcast_to(vals, grid.shape + vals.shape[2:])
+    return np.broadcast_to(vals, vals.shape)
 
 
 def symmetry_defect(field: MatrixField, grid: SpaceTimeGrid) -> float:
-    """max_ij |M_ij - M_ji| over all grid nodes, without raising."""
+    """max_ij |M_ij - M_ji| over the nodes `sample_field` evaluates,
+    without raising."""
     x, t = grid.meshgrid()
-    return _asymmetry(field(x, t))
+    return _asymmetry(field(x, t[:1] if field.time_independent else t))
 
 
 def _asymmetry(vals: np.ndarray) -> float:
@@ -567,8 +558,8 @@ def row_block(arrays, start: int, stop: int) -> list[np.ndarray]:
 class GridSamples:
     """Coefficient samples of one scenario on its grid.
 
-    h0, h1 and p are (nt, nx, n, n), or (1, nx, n, n) to be broadcast over t
-    for a time-independent field; p is None when the scenario has none.
+    h0, h1 and p are as `sample_field` returns them, (nt, nx, n, n) or one
+    row; p is None when the scenario has none.
     flux is nu * h1 read from the end columns of the h1 samples at every
     time node, (2, nt, n, n) in SIDES order, and plus / minus are its
     boundary classes, (2, nt).  speeds holds the node speeds of the marcher
@@ -578,13 +569,9 @@ class GridSamples:
 
     def __init__(self, scenario: Scenario):
         grid = self.grid = scenario.grid
-
-        def rows(fld):
-            vals = sample_field(fld, grid)
-            return vals[:1] if fld.time_independent else vals
-
-        self.h0, self.h1 = rows(scenario.h0), rows(scenario.h1)
-        self.p = None if scenario.p is None else rows(scenario.p)
+        self.h0 = sample_field(scenario.h0, grid)
+        self.h1 = sample_field(scenario.h1, grid)
+        self.p = None if scenario.p is None else sample_field(scenario.p, grid)
         self.flux = np.stack([NORMALS[side] * np.broadcast_to(
             self.h1[:, col], (grid.nt,) + self.h1.shape[2:])
             for side, col in zip(SIDES, (0, -1))])

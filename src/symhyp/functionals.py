@@ -18,12 +18,10 @@ import numpy as np
 
 from .fields import (
     GridFunction,
-    MatrixField,
     Scenario,
     SeparableGridFunction,
     central_derivative,
     check_same_grid,
-    sample_field,
 )
 from .hypotheses import weight_matrix
 from .solver import SolveResult, _principal
@@ -285,34 +283,32 @@ class MarchRecord:
 # discrete identity defects
 # ---------------------------------------------------------------------------
 
-def _interior_max(field: np.ndarray, exclude_t: bool, exclude_x: bool) -> float:
-    sl_t = slice(1, -1) if exclude_t else slice(None)
-    sl_x = slice(1, -1) if exclude_x else slice(None)
-    return float(np.max(np.abs(field[sl_t, sl_x])))
-
-
-def ibp_identity_defect(r_field: MatrixField, w: GridFunction,
+def ibp_identity_defect(w: GridFunction, scenario: Scenario,
                         axis: str) -> float:
     """Defect of the symmetric-matrix product-rule identity.
 
     Measures max over interior nodes of
-    (R dw . w) - 1/2 d(R w . w) + 1/2 ((dR) w . w), with every derivative the
-    second-order central difference along `axis`.  Second-order small for
-    smooth data, and exactly zero only in degenerate cases.
+    (R dw . w) - 1/2 d(R w . w) + 1/2 ((dR) w . w), with R the samples of
+    h1 along "x" and of h0 along "t", and every derivative the second-order
+    central difference along `axis`.  A one-row R has no dR along t.
+    Second-order small for smooth data, and exactly zero only in
+    degenerate cases.
     """
-    grid = w.grid
-    rm = sample_field(r_field, grid)
+    check_same_grid(w, scenario)
+    grid = scenario.grid
+    rm = scenario.samples.h1 if axis == "x" else scenario.samples.h0
     dw = central_derivative(w.values, axis, grid)
-    drm = central_derivative(rm, axis, grid)
     # the defect cancels O(1) terms down to O(h^2), so it reads their last
     # bits: all three forms keep one three-operand contraction
     def form(mats, vecs):
         return np.einsum("txab,txb,txa->tx", mats, vecs, w.values)
 
     dquad = central_derivative(form(rm, w.values), axis, grid)
-    defect = form(rm, dw) - 0.5 * dquad + 0.5 * form(drm, w.values)
-    return _interior_max(defect, exclude_t=(axis == "t"),
-                         exclude_x=(axis == "x"))
+    defect = form(rm, dw) - 0.5 * dquad
+    if axis == "x" or len(rm) > 1:
+        defect += 0.5 * form(central_derivative(rm, axis, grid), w.values)
+    interior = defect[:, 1:-1] if axis == "x" else defect[1:-1]
+    return float(np.max(np.abs(interior)))
 
 
 def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:

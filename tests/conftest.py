@@ -51,6 +51,15 @@ def system_scenario(h0, h1, nx=51, nt=51, t_final=1.0, beta=0.5,
         eta=SpatialWeight.linear(eta_slope), beta=beta)
 
 
+def breathing_h0(x, t):
+    """An SPD 2x2 h0 that moves in x and t."""
+    x, t = np.broadcast_arrays(x, t)
+    out = np.full(x.shape + (2, 2), 0.2)
+    out[..., 0, 0] = 2.0 + 0.3 * np.sin(3.0 * t)
+    out[..., 1, 1] = 1.5 + 0.2 * x
+    return out
+
+
 @pytest.fixture
 def unit_grid():
     return SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)

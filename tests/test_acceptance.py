@@ -6,6 +6,7 @@ oracle- or property-based at desk scale: Nx <= 801, ensembles <= 20.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scipy.integrate import trapezoid
 
 from symhyp import (
     BoundaryLabel,
-    SpaceTimeGrid,
     SymMatrixField,
     build_scenario,
     bump_profile,
@@ -101,14 +101,15 @@ def test_criterion_3_solver_convergence():
 
 
 def test_criterion_4_identity_defects():
-    grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)
     r_field = SymMatrixField.affine([[1.0, 0.0], [0.0, 1.0]],
                                     [[1.0, 0.0], [0.0, 0.0]])
-    w = random_smooth_separable(grid, 2, seed=5).materialize()
-    w_fine = random_smooth_separable(grid.refined(), 2,
-                                     seed=5).materialize()
-    ibp_ratio = (ibp_identity_defect(r_field, w, "x")
-                 / ibp_identity_defect(r_field, w_fine, "x"))
+    r_sc = replace(system_scenario(np.eye(2), np.eye(2), nx=101, nt=101),
+                   h1=r_field)
+    r_fine = r_sc.with_grid(r_sc.grid.refined())
+    w = random_smooth_separable(r_sc.grid, 2, seed=5).materialize()
+    w_fine = random_smooth_separable(r_fine.grid, 2, seed=5).materialize()
+    ibp_ratio = (ibp_identity_defect(w, r_sc, "x")
+                 / ibp_identity_defect(w_fine, r_fine, "x"))
 
     sc = build_scenario("coupled-spd", nx=101, nt=101)
     sc_fine = sc.with_grid(sc.grid.refined())

@@ -7,6 +7,7 @@ import math
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -14,12 +15,16 @@ from hypothesis import strategies as st
 
 from symhyp import (
     ConfigError,
+    Scenario,
     SeparableGridFunction,
+    SpaceTimeGrid,
+    SpatialWeight,
+    SymMatrixField,
     parse_config,
     resolve_scenario,
     serialize_config,
 )
-from symhyp.cli import list_scenarios, main, run
+from symhyp.cli import _run_identities, list_scenarios, main, run
 from symhyp.config import _LEAVES, EXPERIMENTS, INITIAL_KINDS, RunConfig
 
 MINIMAL = "scenario: transport\n"
@@ -162,7 +167,11 @@ class TestParseConfig:
             resolve_scenario(cfg)
         assert "weight.beta='auto' failed: no admissible beta" in str(err.value)
 
-    @pytest.mark.parametrize("text", [MINIMAL, RICH, INLINE])
+    @pytest.mark.parametrize("text", [
+        MINIMAL, RICH, INLINE,
+        "scenario: transport\ninitial: {kind: bump, support: [0.1, 0.6]}\n",
+        "domain: [-1, 2]\ncfl_factor: 0.25\nseed: 3\n"
+        + INLINE.replace("beta: 0.5", "beta: auto")])
     def test_round_trip(self, text):
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -345,6 +354,26 @@ class TestCliRuns:
         main(["identities", "--config", cfg])
         # the coarse member is gone when the fine one is made
         assert alive_at_make == [[], [False]]
+
+    def test_identities_sample_each_coefficient_once_per_grid(self,
+                                                            tmp_path):
+        # every full-row evaluation of h0 or h1 is a sampling of it
+        sampled = {"h0": [], "h1": []}
+
+        def counting(tag, base):
+            def fn(x, t):
+                if np.ndim(x) == 2:
+                    sampled[tag].append(np.shape(x)[1])
+                return base + x[..., None, None] * np.diag([1.0, 0.0])
+            return SymMatrixField(2, fn, label=tag, time_independent=True)
+
+        sc = Scenario(
+            name="counting", grid=SpaceTimeGrid(0.0, 1.0, 2.0, 11, 41),
+            n_comp=2, h0=counting("h0", np.eye(2)),
+            h1=counting("h1", np.array([[2.0, 1.0], [1.0, 2.0]])),
+            eta=SpatialWeight.linear(1.0), beta=0.5)
+        _run_identities(RunConfig(s_grid=(1.0,)), sc, tmp_path)
+        assert sampled == {"h0": [11, 21], "h1": [11, 21]}
 
     def test_byte_identical_reruns(self, tmp_path):
         body = ("scenario: coupled-spd\ngrid: {nx: 31}\ns_grid: [1, 2]\n"

@@ -60,9 +60,30 @@ class TestSampleField:
     def test_constant_field_everywhere(self, unit_grid):
         field = SymMatrixField.constant([[2.0, 1.0], [1.0, 2.0]])
         vals = sample_field(field, unit_grid)
-        assert vals.shape == (101, 101, 2, 2)
+        assert vals.shape == (1, 101, 2, 2)
         assert np.all(vals == np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert symmetry_defect(field, unit_grid) == 0.0
+
+    def test_constant_owns_its_matrix(self):
+        literal = np.eye(2)
+        field = SymMatrixField.constant(literal)
+        literal[0, 0] = 5.0
+        assert np.array_equal(field(0.5, 0.0), np.eye(2))
+        assert not field(0.5, 0.0).flags.writeable
+
+    def test_samples_in_the_stored_form(self, unit_grid):
+        # one read-only row for a time-independent field, every row
+        # otherwise; an array that a field's fn returns keeps its flags
+        static = sample_field(SymMatrixField.affine([[1.0]], [[1.0]]),
+                              unit_grid)
+        assert static.shape == (1, 101, 1, 1)
+        assert not static.flags.writeable
+        owned = np.ones(unit_grid.shape + (1, 1))
+        moving = sample_field(SymMatrixField(1, lambda x, t: owned),
+                              unit_grid)
+        assert moving.shape == (101, 101, 1, 1)
+        assert not moving.flags.writeable
+        assert np.shares_memory(moving, owned) and owned.flags.writeable
 
     def test_affine_field_linear_evaluation(self, unit_grid):
         field = SymMatrixField.affine([[0.0, 0.0], [0.0, 0.0]],

@@ -44,6 +44,7 @@ from symhyp.functionals import (
 )
 
 from conftest import (
+    breathing_h0,
     midpoint_2d,
     midpoint_t,
     midpoint_x,
@@ -609,33 +610,68 @@ class TestIdentityDefects:
     def test_identity_matrix_reduces_to_product_rule(self):
         defects = []
         for nx in (51, 101):
-            grid = SpaceTimeGrid(0.0, 1.0, 1.0, nx, 51)
+            sc = system_scenario(np.eye(2), np.eye(2), nx=nx, nt=51)
             w = GridFunction.from_components(
-                grid, [lambda x, t: np.sin(np.pi * x) * np.cos(t),
-                       lambda x, t: np.cos(2 * x + t)])
-            defects.append(ibp_identity_defect(
-                SymMatrixField.constant(np.eye(2)), w, "x"))
+                sc.grid, [lambda x, t: np.sin(np.pi * x) * np.cos(t),
+                          lambda x, t: np.cos(2 * x + t)])
+            defects.append(ibp_identity_defect(w, sc, "x"))
         assert defects[0] / defects[1] >= 3.5
 
     def test_constant_matrix_affine_w_exact(self):
-        grid = SpaceTimeGrid(0.0, 1.0, 1.0, 21, 21)
+        sc = system_scenario(np.eye(2), [[2.0, 1.0], [1.0, 2.0]], nx=21,
+                             nt=21)
         w = GridFunction.from_components(
-            grid, [lambda x, t: 2 * x + 0 * t, lambda x, t: 1 - x + 0 * t])
-        defect = ibp_identity_defect(
-            SymMatrixField.constant([[2.0, 1.0], [1.0, 2.0]]), w, "x")
-        assert defect <= 1e-12
+            sc.grid, [lambda x, t: 2 * x + 0 * t, lambda x, t: 1 - x + 0 * t])
+        assert ibp_identity_defect(w, sc, "x") <= 1e-12
 
     def test_varying_matrix_fixture(self):
         r_field = SymMatrixField.affine([[1.0, 0.0], [0.0, 1.0]],
                                         [[1.0, 0.0], [0.0, 0.0]])
-        grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)
-        w = random_smooth_separable(grid, 2, seed=5).materialize()
-        coarse = ibp_identity_defect(r_field, w, "x")
-        w_fine = random_smooth_separable(grid.refined(), 2,
+        sc = replace(system_scenario(np.eye(2), np.eye(2), nx=101, nt=101),
+                     h1=r_field)
+        fine_sc = sc.with_grid(sc.grid.refined())
+        w = random_smooth_separable(sc.grid, 2, seed=5).materialize()
+        coarse = ibp_identity_defect(w, sc, "x")
+        w_fine = random_smooth_separable(fine_sc.grid, 2,
                                          seed=5).materialize()
-        fine = ibp_identity_defect(r_field, w_fine, "x")
+        fine = ibp_identity_defect(w_fine, fine_sc, "x")
         assert coarse == pytest.approx(0.0047755110411455345, rel=1e-9)
         assert coarse / fine >= 3.5
+
+    def test_time_dependent_h0_along_t(self):
+        # the one path that forms a t derivative of R
+        sc = replace(system_scenario(np.eye(2), np.eye(2), nx=101, nt=101),
+                     h0=SymMatrixField(2, breathing_h0,
+                                       time_independent=False))
+        coarse, fine = (ibp_identity_defect(random_smooth_separable(
+            s.grid, 2, seed=5).materialize(), s, "t")
+            for s in (sc, sc.with_grid(sc.grid.refined())))
+        # reading R from the sample set moves no bit of the defect
+        assert coarse == pytest.approx(0.005704717794335901, rel=1e-12)
+        assert coarse / fine >= 3.5
+
+    @pytest.mark.parametrize("axis", ["x", "t"])
+    def test_defect_peak_memory(self, axis):
+        # samples and member are made before tracing; the bound leaves room
+        # for dw and the forms, not for an (nt, nx, n, n) derivative of R,
+        # which alone is twice the member
+        sc = build_scenario("coupled-varying", nx=101, nt=1449, t_final=4.0)
+        sc.samples
+        w = random_smooth_separable(sc.grid, 2, seed=0).materialize()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ibp_identity_defect(w, sc, axis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * w.values.nbytes, (peak, w.values.nbytes)
+
+    def test_member_from_another_grid_refused(self):
+        sc = system_scenario(np.eye(2), np.eye(2), nx=21, nt=21)
+        w = random_smooth_separable(sc.grid.refined(), 2, seed=0)
+        with pytest.raises(GridMismatchError):
+            ibp_identity_defect(w.materialize(), sc, "x")
 
 
 class TestConjugationDefect:

@@ -48,7 +48,7 @@ from symhyp.functionals import MarchRecord
 from symhyp.solver import BAND_ROWS, _inflow_data, _normalize_initial
 
 import test_functionals
-from conftest import scalar_scenario, system_scenario
+from conftest import breathing_h0, scalar_scenario, system_scenario
 
 
 def l2_x(vals, hx):
@@ -347,15 +347,6 @@ def _wobbling_flux(x, t):
     return out
 
 
-def _breathing_h0(x, t):
-    """An SPD 2x2 h0 that moves in x and t."""
-    x, t = np.broadcast_arrays(x, t)
-    out = np.full(x.shape + (2, 2), 0.2)
-    out[..., 0, 0] = 2.0 + 0.3 * np.sin(3.0 * t)
-    out[..., 1, 1] = 1.5 + 0.2 * x
-    return out
-
-
 def _marched_cases():
     """(scenario, initial data, inflow) for every branch of the step."""
     cases = {}
@@ -390,7 +381,7 @@ def _marched_cases():
     # time-dependent h0 over several band blocks, with and without the
     # source term that reads inv(h0) at every step
     breathing = replace(
-        forced, h0=SymMatrixField(2, _breathing_h0, time_independent=False))
+        forced, h0=SymMatrixField(2, breathing_h0, time_independent=False))
     breathing = breathing.with_grid(SpaceTimeGrid(
         0.0, 1.0, 1.0, 41, admissible_time_nodes(breathing)))
     assert breathing.grid.nt > 2 * BAND_ROWS
