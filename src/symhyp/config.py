@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
-import yaml
 
 from .catalog import CatalogEntry, _instantiate, catalog
 from .errors import AsymmetricFieldError, BetaSelectionError, ConfigError
@@ -237,6 +236,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     replaces the document's before validation, so it meets the key's rule;
     a None value leaves the document's.
     """
+    import yaml  # here, so that `import symhyp` does not load PyYAML
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -337,6 +338,8 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical YAML rendering; parse_config(serialize_config(c)) == c.
 
     Each leaf of `_LEAVES` is written where parse_config reads it."""
+    import yaml
+
     doc: dict[str, Any] = {}
     for section, key, target, *_ in _LEAVES:
         value = getattr(cfg.initial if section == "initial" else cfg, target)

@@ -16,7 +16,8 @@ class GridMismatchError(SymhypError):
 
 
 class FieldEvaluationError(SymhypError):
-    """A coefficient field produced a non-finite entry; names the node."""
+    """A coefficient field or member data is not finite, or squares to a
+    norm that is not; names the node or the quantity."""
 
 
 class AsymmetricFieldError(SymhypError):

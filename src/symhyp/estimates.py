@@ -11,9 +11,10 @@ rows (`random_initial_profile`), or explicit initial rows in their place.
 Every study builds the hypothesis report that `check` prints and refuses
 to run through `HypothesisReport.require` when one of its structural
 hypotheses fails: the refusal names each failed check with its worst node
-and value and carries the report.  Every aggregation is a max
-over non-degenerate members, so adding members can only grow the
-estimated constants.
+and value and carries the report.  Every ratio follows one rule
+(`functionals._ratio`): a norm that is not finite is refused, x/0 is inf,
+and 0/0 is nan, a degenerate member.  Every aggregation is a max over the
+others, so adding members can only grow the estimated constants.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanPass:
-    """One full (member x s) sweep at a fixed resolution."""
+    """One full (member x s) sweep at a fixed resolution; degenerate
+    counts the members whose ratio is nan at every s."""
 
     nx: int
     nt: int
@@ -164,21 +166,21 @@ def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
 
     Members are dense or separable grid functions.  A separable member on
     time-independent coefficients keeps a separable source, so the sweep
-    forms no full-grid array; a member counts as degenerate when every one
-    of its samples is 0.
+    forms no full-grid array.  A member is degenerate when its ratio is
+    nan at every s: a nonzero member has a positive s^2 volume term.
     """
     rows = []
     degenerate = idx = 0
     # no enumerate: its result tuple would keep this member alive while
     # the next one is made
     for u in members:
-        if u.is_zero():
-            degenerate += 1
         src = residual(u, scenario)
         for s in s_grid:
             terms = carleman_terms(u, src, scenario, s)
             rows.append(ScanRow(member=idx, s=s, terms=terms,
                                 ratio=carleman_ratio(terms)))
+        degenerate += all(math.isnan(row.ratio)
+                          for row in rows[-len(s_grid):])
         del u, src
         idx += 1
     rho = tuple(_usable_max(r.ratio for r in rows if r.s == s)
@@ -206,8 +208,8 @@ def scan_carleman(scenario: Scenario, ensemble: int = 20,
 
     Explicit `members`, dense or separable, replace the generated ensemble
     (refinement is skipped then, since arbitrary samples cannot be
-    resampled).  Identically zero members are counted as degenerate and
-    excluded from every maximum.
+    resampled).  A member whose ratio is nan (0/0) at every s is counted
+    as degenerate, and nan ratios are excluded from every maximum.
     """
     check_hypotheses(scenario).require("weight_coercivity")
     s_grid = tuple(float(s) for s in s_grid)

@@ -165,9 +165,6 @@ class GridFunction:
         return float(np.einsum("txc,x,txc->t", self.values, wx, self.values)
                      @ wt)
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 def check_finite(rows: np.ndarray, first: int = 0) -> None:
     """Refuse (rows, nx, n) samples of time nodes first, first + 1, ...
@@ -232,13 +229,6 @@ class SeparableGridFunction:
         gx = (self.x_factor * wx[:, None, None]).reshape(-1, r).T @ xf
         gt = (self.t_factor * wt[:, None]).T @ self.t_factor
         return float(np.sum(gx * gt))
-
-    def is_zero(self) -> bool:
-        """Whether every sample is exactly 0, decided 64 time rows at a time;
-        a member with a nonzero sample in its first rows stops there."""
-        xf = self.x_factor.reshape(self.grid.nx * self.n_comp, -1)
-        return not any(np.any(xf @ self.t_factor[k:k + 64].T)
-                       for k in range(0, self.grid.nt, 64))
 
 
 def central_derivative(data, axis: str, grid: SpaceTimeGrid | None = None):
@@ -686,6 +676,19 @@ def check_same_grid(u: GridFunction | SeparableGridFunction,
 # seeded ensembles
 # ---------------------------------------------------------------------------
 
+def _mode_weights(wave: np.ndarray, power: float, decay: float):
+    """wave ** power, the scales of a seeded member of len(wave) modes,
+    refused when one or its reciprocal is not finite: no mode weight is
+    inf or 0."""
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = wave ** power
+        if np.all(np.isfinite(scale) & np.isfinite(1.0 / scale)):
+            return scale
+    raise FieldEvaluationError(
+        f"modes={len(wave)} with decay={decay!r} give a mode weight that "
+        f"is not finite or is 0")
+
+
 def random_smooth_separable(grid: SpaceTimeGrid, n_comp: int, seed: int,
                             modes: int = 4,
                             decay: float = 2.0) -> SeparableGridFunction:
@@ -710,7 +713,7 @@ def random_smooth_separable(grid: SpaceTimeGrid, n_comp: int, seed: int,
     # basis B(h) = [sin(k pi h) | cos(k pi h)]; x_factor is B(xh) C and
     # t_factor B(th)
     wave = np.arange(1, modes + 1.0)
-    coef = amp * np.outer(wave, wave) ** (-decay)
+    coef = amp * _mode_weights(np.outer(wave, wave), -decay, decay)
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(psi), np.sin(psi)
     cmat = np.block([[coef * ct * cp, coef * ct * sp],
@@ -737,7 +740,7 @@ def random_initial_profile(grid: SpaceTimeGrid, n_comp: int, seed: int,
         raise ValueError(f"modes must be >= 1 (got {modes})")
     rng = np.random.default_rng(seed)
     coefs = rng.standard_normal((n_comp, modes)) / \
-        np.arange(1, modes + 1) ** decay
+        _mode_weights(np.arange(1, modes + 1), decay, decay)
     xh = (grid.x - grid.x_lo) / (grid.x_hi - grid.x_lo)
     basis = np.sin(np.pi * np.outer(np.arange(1, modes + 1), xh))
     return (coefs @ basis).T

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldEvaluationError
 from .fields import (
     GridFunction,
     Scenario,
@@ -114,25 +115,26 @@ def carleman_terms(u: GridFunction | SeparableGridFunction,
     wx = np.exp(2.0 * s * (eta - phi_max))
     wt = np.exp(-2.0 * s * scenario.beta * t)
 
-    lhs_initial = s * trapezoid(
-        _quad_form(samples.h0[0], u.time_row(0)) * wx, dx=hx)
-    rhs_terminal = s * trapezoid(
-        _quad_form(samples.h0[-1], u.time_row(-1)) * (wx * wt[-1]), dx=hx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs_initial = s * trapezoid(
+            _quad_form(samples.h0[0], u.time_row(0)) * wx, dx=hx)
+        rhs_terminal = s * trapezoid(
+            _quad_form(samples.h0[-1], u.time_row(-1)) * (wx * wt[-1]), dx=hx)
 
-    qwx = _trapezoid_weights(grid.nx, hx) * wx
-    qwt = _trapezoid_weights(grid.nt, grid.ht) * wt
-    lhs_volume = s * s * u.weighted_norm(qwx, qwt)
-    rhs_source = source.weighted_norm(qwx, qwt)
+        qwx = _trapezoid_weights(grid.nx, hx) * wx
+        qwt = _trapezoid_weights(grid.nt, grid.ht) * wt
+        lhs_volume = s * s * u.weighted_norm(qwx, qwt)
+        rhs_source = source.weighted_norm(qwx, qwt)
 
-    # x_lo and x_hi columns, SIDES first like the samples: (2, nt, ...)
-    ub = u.boundary_columns()
-    wb = wx[[0, -1], None] * wt
-    flux = np.abs(_quad_form(samples.flux, ub))
-    rest = np.sum(ub ** 2, axis=-1) * wb
-    lhs_gamma_minus = np.sum(
-        s * trapezoid(np.where(samples.minus, flux * wb, 0.0), t))
-    rhs_gamma_rest = np.sum(
-        s * trapezoid(np.where(samples.minus, 0.0, rest), t))
+        # x_lo and x_hi columns, SIDES first like the samples: (2, nt, ...)
+        ub = u.boundary_columns()
+        wb = wx[[0, -1], None] * wt
+        flux = np.abs(_quad_form(samples.flux, ub))
+        rest = np.sum(ub ** 2, axis=-1) * wb
+        lhs_gamma_minus = np.sum(
+            s * trapezoid(np.where(samples.minus, flux * wb, 0.0), t))
+        rhs_gamma_rest = np.sum(
+            s * trapezoid(np.where(samples.minus, 0.0, rest), t))
 
     return CarlemanTerms(
         s=float(s),
@@ -146,17 +148,24 @@ def carleman_terms(u: GridFunction | SeparableGridFunction,
     )
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den by the rule of every study's ratio: a term that is not
+    finite (member data whose squares overflow) is refused, so nan means
+    0/0 only, a degenerate member that every maximum skips; x/0 is inf,
+    the witness of a violation."""
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise FieldEvaluationError(f"non-finite member norms {num!r}, {den!r}")
+    if den == 0.0:
+        return math.nan if num == 0.0 else math.inf
+    return num / den
+
+
 def carleman_ratio(terms: CarlemanTerms) -> float:
     """Left-over-right ratio of the six-term estimate.
 
     The estimate asserts this stays below max(C, 1) beyond some s threshold.
-    Returns nan for the degenerate 0/0 case and inf when only the right side
-    vanishes (a violation candidate to be surfaced by callers).
     """
-    lhs, rhs = terms.lhs_total, terms.rhs_total
-    if rhs == 0.0:
-        return math.nan if lhs == 0.0 else math.inf
-    return lhs / rhs
+    return _ratio(terms.lhs_total, terms.rhs_total)
 
 
 @dataclass(frozen=True)
@@ -175,9 +184,7 @@ class EnergyLedger:
 
     @property
     def max_ratio(self) -> float:
-        if self.rhs_core == 0.0:
-            return math.nan if np.all(self.lemma_lhs == 0.0) else math.inf
-        return float(np.max(self.lemma_lhs) / self.rhs_core)
+        return _ratio(float(np.max(self.lemma_lhs)), self.rhs_core)
 
 
 def _row_energies(rows: np.ndarray, wx: np.ndarray) -> np.ndarray:
@@ -190,18 +197,15 @@ def _ledger(scenario: Scenario, energy: np.ndarray,
     """The ledger of the row energies and the (2, nt, n) boundary traces."""
     samples = scenario.samples
     t = scenario.grid.t
-    flux = _quad_form(samples.flux, ub)
-    outflow = np.sum(np.where(samples.plus, flux, 0.0), axis=0)
-    rest = np.sum(np.where(samples.plus, 0.0, np.sum(ub ** 2, axis=-1)),
-                  axis=0)
-
-    cum_out = cumulative_trapezoid(outflow, t)
-    return EnergyLedger(
-        times=t,
-        energy=energy,
-        lemma_lhs=energy + cum_out,
-        rhs_core=float(energy[0] + trapezoid(rest, t)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux = _quad_form(samples.flux, ub)
+        outflow = np.sum(np.where(samples.plus, flux, 0.0), axis=0)
+        rest = np.sum(np.where(samples.plus, 0.0, np.sum(ub ** 2, axis=-1)),
+                      axis=0)
+        cum_out = cumulative_trapezoid(outflow, t)
+        return EnergyLedger(times=t, energy=energy,
+                            lemma_lhs=energy + cum_out,
+                            rhs_core=float(energy[0] + trapezoid(rest, t)))
 
 
 def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
@@ -225,20 +229,19 @@ def energy_ledger(u, scenario: Scenario) -> EnergyLedger:
 
 def _trace_ratio(grid, initial: np.ndarray, traces: np.ndarray) -> float:
     """Norm of the initial row over the norm of the (2, nt, n) traces."""
-    num = math.sqrt(trapezoid(np.sum(initial ** 2, axis=-1), dx=grid.hx))
-    den = math.sqrt(np.sum(trapezoid(np.sum(traces ** 2, axis=-1),
-                                     dx=grid.ht)))
-    if den == 0.0:
-        return math.nan if num == 0.0 else math.inf
-    return num / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = math.sqrt(trapezoid(np.sum(initial ** 2, axis=-1), dx=grid.hx))
+        den = math.sqrt(np.sum(trapezoid(np.sum(traces ** 2, axis=-1),
+                                         dx=grid.ht)))
+    return _ratio(num, den)
 
 
 def observability_ratio(result: SolveResult) -> float:
     """Initial-data norm over boundary-trace norm.
 
-    nan marks the degenerate 0/0 case; inf is the witness of a vanishing
-    trace with nonzero initial data (observability failure).  It reads
-    only the initial row and the traces, which `MarchRecord` keeps.
+    inf is the witness of a vanishing trace with nonzero initial data
+    (observability failure).  It reads only the initial row and the
+    traces, which `MarchRecord` keeps.
     """
     return _trace_ratio(result.u.grid, result.u.values[0], result.traces)
 

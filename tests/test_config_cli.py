@@ -4,8 +4,11 @@ import contextlib
 import csv
 import io
 import math
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symhyp
 from symhyp import (
     ConfigError,
     Scenario,
@@ -321,6 +325,34 @@ class TestCliRuns:
             labels = {(row["side"], row["label"])
                       for row in csv.DictReader(fh)}
         assert labels == {("x_lo", "MINUS"), ("x_hi", "PLUS")}
+
+    # members whose squared norms overflow: random initial rows near 1e190
+    # for the solve studies, seeded members near 1e240 for the scan
+    @pytest.mark.parametrize("verb, text", [
+        ("observe", "initial: {kind: random, decay: -400}\nensemble: 2\n"),
+        ("energy", "initial: {kind: random, decay: -400}\nensemble: 2\n"),
+        ("carleman", "ensemble: {size: 2, decay: -200}\ns_grid: [1, 2]\n")],
+        ids=["observe", "energy", "carleman"])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_members_refused(self, verb, text, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
+                                  + text + f"out_dir: {tmp_path}/out\n")
+        assert main([verb, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: non-finite member norms "), \
+            captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert "degenerate=" not in captured.out
+        assert "VIOLATION" not in captured.out
+
+    def test_import_does_not_load_yaml(self):
+        src = str(Path(symhyp.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import symhyp; "
+             "print('yaml' in sys.modules)", src],
+            capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_energy_run(self, tmp_path, capsys):
         cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 51}\n"

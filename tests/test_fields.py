@@ -433,35 +433,6 @@ class TestSeparableGridFunction:
         with pytest.raises(GridError, match="along t"):
             central_derivative(self.member(grid), "t")
 
-    def test_zero_only_when_every_sample_is_zero(self, unit_grid):
-        x_factor = np.zeros((101, 2, 2))
-        x_factor[:, :, 0] = 1.0
-        t_factor = np.zeros((101, 2))
-        t_factor[:, 1] = 1.0
-        # nonzero factors whose product vanishes at every node
-        assert SeparableGridFunction(unit_grid, x_factor, t_factor).is_zero()
-        assert SeparableGridFunction(unit_grid, np.zeros((101, 2, 3)),
-                                     np.ones((101, 3))).is_zero()
-        # one nonzero sample, in the last time row, past the first blocks
-        t_factor[-1, 0] = 1e-300
-        assert not SeparableGridFunction(unit_grid, x_factor,
-                                         t_factor).is_zero()
-        assert not self.member(unit_grid).is_zero()
-        assert GridFunction.zeros(unit_grid, 2).is_zero()
-
-    def test_zero_check_does_not_materialize(self):
-        grid = SpaceTimeGrid(0.0, 1.0, 1.0, 101, 4001)
-        zero = SeparableGridFunction(grid, np.zeros((101, 2, 8)),
-                                     np.ones((4001, 8)))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert zero.is_zero()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.1 * grid.nt * grid.nx * 2 * 8, peak
-
 
 class TestRandomEnsembles:
     def test_deterministic(self, unit_grid):
@@ -521,6 +492,19 @@ class TestRandomEnsembles:
     def test_modes_validated(self, unit_grid):
         with pytest.raises(ValueError):
             random_smooth_separable(unit_grid, 1, seed=0, modes=0)
+
+    # the weight of the highest mode overflows (decay -400 and -700) or
+    # underflows to 0 (decay 400 and 1000)
+    @pytest.mark.parametrize("make, decay", [
+        (random_smooth_separable, -400.0), (random_smooth_separable, 400.0),
+        (random_initial_profile, -700.0), (random_initial_profile, 1000.0)])
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mode_weight_refused_by_name(self, unit_grid, make,
+                                                     decay):
+        with pytest.raises(FieldEvaluationError,
+                           match=rf"modes=3 with decay={decay!r} give a "
+                                 "mode weight that is not finite or is 0"):
+            make(unit_grid, 2, seed=0, modes=3, decay=decay)
 
     def test_initial_profile_vanishes_at_endpoints(self, unit_grid):
         prof = random_initial_profile(unit_grid, 2, seed=5)

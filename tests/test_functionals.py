@@ -12,6 +12,7 @@ from scipy import integrate
 
 from symhyp import (
     BoundaryLabel,
+    FieldEvaluationError,
     GridFunction,
     GridMismatchError,
     MatrixField,
@@ -37,8 +38,10 @@ from symhyp import (
 
 from symhyp.fields import check_same_grid
 from symhyp.functionals import (
+    CarlemanTerms,
     EnergyLedger,
     _quad_form,
+    _trace_ratio,
     cumulative_trapezoid,
     trapezoid,
 )
@@ -395,6 +398,57 @@ class TestLocalTrapezoid:
         assert np.array_equal(
             cumulative_trapezoid(series, grid.t),
             integrate.cumulative_trapezoid(series, grid.t, initial=0.0))
+
+
+def _carleman_rule(num, den):
+    """carleman_ratio of squared norms num^2 over den^2."""
+    return carleman_ratio(CarlemanTerms(
+        s=1.0, lhs_initial=0.0, lhs_volume=num * num, lhs_gamma_minus=0.0,
+        rhs_source=den * den, rhs_gamma_rest=0.0, rhs_terminal=0.0,
+        log_scale=0.0))
+
+
+def _ledger_rule(num, den):
+    """max_ratio of squared norms num^2 (the largest lemma_lhs) over
+    den^2."""
+    return EnergyLedger(times=np.array([0.0, 1.0]), energy=np.zeros(2),
+                        lemma_lhs=np.array([0.0, num * num]),
+                        rhs_core=den * den).max_ratio
+
+
+def _trace_rule(num, den):
+    """_trace_ratio of an initial row and traces of constant value num and
+    den, each of unit norm per unit value."""
+    grid = SpaceTimeGrid(0.0, 1.0, 0.5, 11, 5)
+    return _trace_ratio(grid, np.full((11, 1), num),
+                        np.full((2, 5, 1), den))
+
+
+class TestRatioRule:
+    """The one rule of every study's ratio: 0/0 is nan, x/0 is inf, and a
+    norm that is not finite is refused; the numerator and denominator are
+    given as the data whose squares they are."""
+
+    RATIOS = [_carleman_rule, _ledger_rule, _trace_rule]
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_zero_over_zero_is_nan(self, ratio):
+        assert math.isnan(ratio(0.0, 0.0))
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_nonzero_over_zero_is_inf(self, ratio):
+        assert ratio(2.0, 0.0) == math.inf
+
+    # 1e200 squares past the float range; the refusal must come without
+    # a numpy warning on the way
+    @pytest.mark.parametrize("num, den", [(1e200, 1.0), (1.0, 1e200),
+                                          (1e200, 0.0), (math.inf, 1.0)])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_norm_refused(self, ratio, num, den):
+        with pytest.raises(FieldEvaluationError,
+                           match="non-finite member norms"):
+            ratio(num, den)
 
 
 class TestEnergyLedger:
