@@ -308,7 +308,8 @@ def _run_observability(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
           f"degenerate={report.degenerate}")
     for msg in report.warnings:
         print(f"  warning: {msg}")
-    print(f"  C_obs={report.c_obs!r}")
+    if report.verdict != "INCONCLUSIVE":  # no usable ratio to print
+        print(f"  C_obs={report.c_obs!r}")
     print(f"  verdict: {report.verdict}")
     if report.counterexample is not None:
         ce = report.counterexample
@@ -318,9 +319,10 @@ def _run_observability(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
 
 
 def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
+    spec = cfg.initial
     report = verify_energy_estimate(
         scenario, ensemble=cfg.ensemble, seed=cfg.seed,
-        modes=cfg.initial.modes, decay=cfg.initial.decay,
+        modes=spec.modes, decay=spec.decay,
         cfl_factor=cfg.cfl_factor, refine=True)
     m = len(report.ratios)
     _write_csv(out / "energy.csv",
@@ -330,6 +332,10 @@ def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
                  _column(report.ratios_fine or (math.nan,) * m)]])
     print(f"energy: scenario={report.scenario} ensemble={len(report.ratios)} "
           f"degenerate={report.degenerate}")
+    print(f"  members=random modes={spec.modes!r} decay={spec.decay!r}")
+    if spec.kind != "random":
+        print(f"  note: initial.kind={spec.kind} is for solve and observe; "
+              f"energy runs the seeded random ensemble")
     print(f"  C_energy={report.c_energy!r}")
     if report.c_energy_fine is not None:
         print(f"  refined: C_energy={report.c_energy_fine!r} "

@@ -20,6 +20,7 @@ code, not in configs.
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -229,6 +230,22 @@ def _section(doc: dict, section: str, errors: list[str]) -> dict:
     return node
 
 
+#: exponent forms that YAML 1.1 reads as strings (1e3, 1.0e3, 5e-1): only
+#: a dotted mantissa with a signed exponent (1.0e+3) is a float there
+_EXPONENT_FLOAT = re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+
+
+def _exponent_floats(base):
+    """A subclass of PyYAML's SafeLoader or SafeDumper `base` that resolves
+    exponent forms as floats, as YAML 1.2 does, so that a loader reads them
+    as numbers and a dumper quotes the strings that look like them."""
+    cls = type(base.__name__, (base,), {})
+    cls.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                              list("-+0123456789."))
+    return cls
+
+
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a YAML config; raises ConfigError with every issue.
 
@@ -239,7 +256,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     import yaml  # here, so that `import symhyp` does not load PyYAML
 
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_exponent_floats(yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
     if doc is None:
@@ -352,7 +369,8 @@ def serialize_config(cfg: RunConfig) -> str:
         elif isinstance(value, tuple):
             value = list(value)
         (doc.setdefault(section, {}) if section else doc)[key] = value
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    return yaml.dump(doc, Dumper=_exponent_floats(yaml.SafeDumper),
+                     sort_keys=True, default_flow_style=False)
 
 
 # ---------------------------------------------------------------------------

@@ -130,33 +130,27 @@ def _usable_max(values) -> float:
     return max((v for v in values if not math.isnan(v)), default=math.nan)
 
 
-def _two_grids(scenario: Scenario, members, ensemble: int, make_member,
-               run_pass, constant, refine: bool):
-    """(member count, coarse, fine, drift) of a pass and its refined rerun.
-
-    run_pass(scenario, members) runs on the scenario grid; when `members`
-    is None they are make_member(grid, i) for i < ensemble, made one at a
-    time as the pass reaches them, so a pass holds one generated member at
-    once.  With `refine`, generated members are resampled on the
-    node-doubled grid and the pass rerun there; drift is the relative
-    change of constant(pass), None when the coarse constant is 0 or not
-    finite.  Explicit members cannot be resampled, so they are never
-    refined.
-    """
-    def generate(grid):
-        return (make_member(grid, i) for i in range(ensemble))
-
+def _passes(scenario: Scenario, members, ensemble: int, make_member,
+            refine: bool) -> list:
+    """The (scenario, members) passes of a study.  Explicit `members` run
+    once, as arbitrary samples cannot be resampled; otherwise member i is
+    make_member(grid, i) for i < ensemble, made as the pass reaches it, so
+    a pass holds one member at once, first on `scenario` itself (reusing
+    its sample set) and, with `refine`, on the node-doubled grid."""
     if members is not None:
-        return len(members), run_pass(scenario, members), None, None
-    coarse = run_pass(scenario, generate(scenario.grid))
-    if not refine:
-        return ensemble, coarse, None, None
-    fine_scenario = scenario.with_grid(scenario.grid.refined())
-    fine = run_pass(fine_scenario, generate(fine_scenario.grid))
-    c0 = constant(coarse)
-    drift = (abs(constant(fine) - c0) / abs(c0)
-             if math.isfinite(c0) and c0 != 0.0 else None)
-    return ensemble, coarse, fine, drift
+        return [(scenario, members)]
+    scenarios = [scenario]
+    if refine:
+        scenarios.append(scenario.with_grid(scenario.grid.refined()))
+    return [(sc, map(make_member, [sc.grid] * ensemble, range(ensemble)))
+            for sc in scenarios]
+
+
+def _drift(coarse: float, fine: float) -> float | None:
+    """Relative change of a constant from the coarse pass to the fine one;
+    None when the coarse constant is 0 or not finite."""
+    return (abs(fine - coarse) / abs(coarse)
+            if math.isfinite(coarse) and coarse != 0.0 else None)
 
 
 def _scan_pass(scenario: Scenario, s_grid: tuple[float, ...],
@@ -213,15 +207,15 @@ def scan_carleman(scenario: Scenario, ensemble: int = 20,
     """
     check_hypotheses(scenario).require("weight_coercivity")
     s_grid = tuple(float(s) for s in s_grid)
-    count, coarse, fine, drift = _two_grids(
-        scenario, members, ensemble,
-        make_member=lambda grid, i: random_smooth_separable(
+    coarse, *finer = [_scan_pass(sc, s_grid, ms) for sc, ms in _passes(
+        scenario, members, ensemble, lambda grid, i: random_smooth_separable(
             grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
-        run_pass=lambda sc, ms: _scan_pass(sc, s_grid, ms),
-        constant=lambda scan_pass: scan_pass.c_hat, refine=refine)
-    return CarlemanScanReport(scenario=scenario.name, s_grid=s_grid,
-                              ensemble=count, coarse=coarse,
-                              fine=fine, drift=drift)
+        refine)]
+    fine = finer[-1] if finer else None
+    return CarlemanScanReport(
+        scenario=scenario.name, s_grid=s_grid, coarse=coarse, fine=fine,
+        ensemble=ensemble if members is None else len(members),
+        drift=None if fine is None else _drift(coarse.c_hat, fine.c_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +229,24 @@ class ObservabilityReport:
     t_min: float
     ratios: tuple[float, ...]
     c_obs: float
-    verdict: str  # OBSERVABLE | COUNTEREXAMPLE
+    verdict: str  # OBSERVABLE | COUNTEREXAMPLE | INCONCLUSIVE
     warnings: tuple[str, ...]
     counterexample: dict | None
     degenerate: int
 
 
-def _homogeneous(scenario: Scenario) -> Scenario:
-    return replace(scenario, source=None) if scenario.source is not None \
-        else scenario
-
-
-def _march_pass(scenario: Scenario, members, cfl_factor: float,
-                energy: bool = False):
-    """One `solve` per member into its own `MarchRecord`, each record
-    yielded when its march ends."""
+def _march_ratios(scenario: Scenario, members, cfl_factor: float,
+                  energy: bool = False) -> tuple[float, ...]:
+    """One `solve` per member into its own `MarchRecord`, read as its trace
+    ratio, or with energy=True as its ledger's max ratio."""
+    ratios = []
     for u0 in members:
         record = MarchRecord(scenario, energy=energy)
         solve(scenario, u0, cfl_factor=cfl_factor, observer=record)
         del u0  # so that it is gone when the next member is made
-        yield record
+        ratios.append(record.ledger().max_ratio if energy
+                      else record.observability_ratio())
+    return tuple(ratios)
 
 
 def estimate_observability(scenario: Scenario, ensemble: int = 20,
@@ -269,9 +261,11 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
     initial rows `members` replace the ensemble, as in
     `verify_energy_estimate`.  The verdict is OBSERVABLE only when the
     horizon exceeds the critical time and every non-degenerate ratio is
-    finite; otherwise the worst member is recorded as the counterexample.
+    finite, and INCONCLUSIVE when every member is degenerate; otherwise
+    it is COUNTEREXAMPLE, with the worst member recorded.
     """
-    scenario = _homogeneous(scenario)
+    if scenario.source is not None:
+        scenario = replace(scenario, source=None)
     report = check_hypotheses(scenario)
     report.require("eta_coercivity", "h0_bounds")
     t_min = report.T_min
@@ -280,29 +274,26 @@ def estimate_observability(scenario: Scenario, ensemble: int = 20,
         f"T={scenario.grid.t_final!r} does not exceed the critical time "
         f"T_min={t_min!r}; proceeding (counterexample study)",)
 
-    _, ratios, _, _ = _two_grids(
-        scenario, members, ensemble,
-        make_member=lambda grid, i: random_initial_profile(
+    [ratios] = [_march_ratios(sc, ms, cfl_factor) for sc, ms in _passes(
+        scenario, members, ensemble, lambda grid, i: random_initial_profile(
             grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
-        run_pass=lambda sc, ms: [
-            record.observability_ratio()
-            for record in _march_pass(sc, ms, cfl_factor)],
-        constant=_usable_max, refine=False)
+        refine=False)]
 
     # ratios are >= 0, so the largest usable one is finite exactly when
     # there is one and every usable ratio is finite
     c_obs = _usable_max(ratios)
-    observable = in_time and math.isfinite(c_obs)
     counterexample = None
-    if not observable and not math.isnan(c_obs):
-        worst = int(np.nanargmax([r if not math.isnan(r) else -math.inf
-                                  for r in ratios]))
-        counterexample = {"member": worst, "ratio": ratios[worst],
+    if math.isnan(c_obs):  # every member degenerate: no evidence either way
+        verdict = "INCONCLUSIVE"
+    elif in_time and math.isfinite(c_obs):
+        verdict = "OBSERVABLE"
+    else:
+        verdict = "COUNTEREXAMPLE"
+        counterexample = {"member": ratios.index(c_obs), "ratio": c_obs,
                           "t_min": t_min}
     return ObservabilityReport(
         scenario=scenario.name, t_final=scenario.grid.t_final, t_min=t_min,
-        ratios=tuple(ratios), c_obs=c_obs,
-        verdict="OBSERVABLE" if observable else "COUNTEREXAMPLE",
+        ratios=ratios, c_obs=c_obs, verdict=verdict,
         warnings=warnings, counterexample=counterexample,
         degenerate=sum(map(math.isnan, ratios)))
 
@@ -337,19 +328,20 @@ def verify_energy_estimate(scenario: Scenario, ensemble: int = 20,
     members (zero data) are excluded; with refine=True the same initial
     profiles are resampled on the node-doubled grid for a drift estimate.
     """
-    scenario = _homogeneous(scenario)
+    if scenario.source is not None:
+        scenario = replace(scenario, source=None)
     check_hypotheses(scenario).require("h0_bounds")
-    _, ratios, fine, drift = _two_grids(
-        scenario, members, ensemble,
-        make_member=lambda grid, i: random_initial_profile(
-            grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
-        run_pass=lambda sc, ms: [
-            record.ledger().max_ratio
-            for record in _march_pass(sc, ms, cfl_factor, energy=True)],
-        constant=_usable_max, refine=refine)
+    ratios, *finer = [
+        _march_ratios(sc, ms, cfl_factor, energy=True) for sc, ms in _passes(
+            scenario, members, ensemble,
+            lambda grid, i: random_initial_profile(
+                grid, scenario.n_comp, seed + i, modes=modes, decay=decay),
+            refine)]
+    c_energy = _usable_max(ratios)
+    fine = finer[-1] if finer else None
+    c_fine = None if fine is None else _usable_max(fine)
     return EnergyEstimateReport(
-        scenario=scenario.name, ratios=tuple(ratios),
-        c_energy=_usable_max(ratios),
-        ratios_fine=None if fine is None else tuple(fine),
-        c_energy_fine=None if fine is None else _usable_max(fine),
-        drift=drift, degenerate=sum(map(math.isnan, ratios)))
+        scenario=scenario.name, ratios=ratios, c_energy=c_energy,
+        ratios_fine=fine, c_energy_fine=c_fine,
+        drift=None if fine is None else _drift(c_energy, c_fine),
+        degenerate=sum(map(math.isnan, ratios)))

@@ -1,14 +1,24 @@
-"""Shared helpers: independent quadrature oracles and small scenario builders.
+"""Shared helpers: independent quadrature oracles, small scenario builders
+and the mirror transform of a scenario and its members.
 
 The midpoint evaluators below are the second set of books for the quadrature
 double-entry checks: they sample *analytic* integrands at cell centers, so
 they share neither code nor sample points with the trapezoid path under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from symhyp import SpaceTimeGrid, Scenario, SpatialWeight, SymMatrixField
+from symhyp import (
+    GridFunction,
+    Scenario,
+    SeparableGridFunction,
+    SpaceTimeGrid,
+    SpatialWeight,
+    SymMatrixField,
+)
 
 
 def midpoint_2d(fn, grid: SpaceTimeGrid) -> float:
@@ -58,6 +68,41 @@ def breathing_h0(x, t):
     out[..., 0, 0] = 2.0 + 0.3 * np.sin(3.0 * t)
     out[..., 1, 1] = 1.5 + 0.2 * x
     return out
+
+
+def mirror_scenario(sc: Scenario) -> Scenario:
+    """The scenario in the mirrored coordinate y = x_lo + x_hi - x.
+
+    Every coefficient reads x_lo + x_hi - y, h1 with its sign flipped, and
+    eta becomes eta(x_lo + x_hi - y).  The two boundary sides swap, so every
+    number a study prints must stay as it is, up to rounding, when its
+    members are mirrored too (`mirror_member`).
+    """
+    span = sc.grid.x_lo + sc.grid.x_hi
+
+    def mirrored(fld, sign=1.0):
+        if fld is None:
+            return None
+        return replace(fld, fn=lambda x, t: sign * fld(span - x, t),
+                       label=f"mirrored {fld.label}")
+
+    eta = SpatialWeight(lambda y: sc.eta(span - y),
+                        lambda y: -sc.eta.derivative(span - y),
+                        label=f"mirrored {sc.eta.label}")
+    return replace(sc, name=f"mirrored {sc.name}", h0=mirrored(sc.h0),
+                   h1=mirrored(sc.h1, -1.0), eta=eta, p=mirrored(sc.p),
+                   source=mirrored(sc.source))
+
+
+def mirror_member(u):
+    """A member in the mirrored coordinate: its x axis reversed.  `u` is an
+    initial row (nx, n), a dense member or a separable one, whose x factor
+    is reversed."""
+    if isinstance(u, GridFunction):
+        return GridFunction(u.grid, u.values[:, ::-1])
+    if isinstance(u, SeparableGridFunction):
+        return SeparableGridFunction(u.grid, u.x_factor[::-1], u.t_factor)
+    return np.asarray(u)[::-1]
 
 
 @pytest.fixture

@@ -180,6 +180,31 @@ class TestParseConfig:
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("line, key, value", [
+        ("T: 1e3\n", "t_final", 1000.0), ("T: 1.0e3\n", "t_final", 1000.0),
+        ("T: 1e-3\n", "t_final", 0.001),
+        ("weight: {beta: 5e-1}\n", "beta", 0.5),
+        ("s_grid: [1e0, 4e0]\n", "s_grid", (1.0, 4.0))])
+    def test_exponent_numbers_load_as_numbers(self, line, key, value):
+        cfg = parse_config(MINIMAL + line)
+        assert getattr(cfg, key) == value
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_exponent_number_refused_by_its_rule(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "T: -2E+1\n")
+        assert err.value.messages == ["T must be a positive number (got -20.0)"]
+
+    def test_exponent_loader_keeps_integers_and_strings(self):
+        cfg = parse_config(MINIMAL + "seed: 3\ngrid: {nx: 21}\n"
+                           "out_dir: '1e3'\n")
+        assert (type(cfg.seed), type(cfg.nx)) == (int, int)
+        assert cfg.out_dir == "1e3"
+        # a string that reads as an exponent number is quoted on the way out
+        assert parse_config(serialize_config(cfg)) == cfg
+        # PyYAML's own safe loader is not changed
+        assert yaml.safe_load("T: 1e3") == {"T": "1e3"}
+
     @pytest.mark.parametrize("field, message", [
         ("t_final", "T is required"), ("beta", "weight.beta is required")])
     def test_inline_resolution_needs_horizon_and_beta(self, field, message):
@@ -308,6 +333,32 @@ class TestCliRuns:
         # the header and the one bump member, whatever the ensemble size
         assert len(rows.splitlines()) == 2
         assert rows.splitlines()[1].startswith("transport,0,")
+
+    def test_observe_all_degenerate_is_inconclusive(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
+                                  "initial: {kind: bump, amplitude: 0}\n"
+                                  f"out_dir: {tmp_path}/out\n")
+        assert main(["observe", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "\n  verdict: INCONCLUSIVE\n" in out
+        assert "degenerate=1" in out
+        assert "C_obs=" not in out and "COUNTEREXAMPLE" not in out
+
+    @pytest.mark.parametrize("kind", ["random", "bump"])
+    def test_energy_names_its_members(self, kind, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
+                                  f"ensemble: 2\ninitial: {{kind: {kind}, "
+                                  "modes: 2, decay: 1.5}\n"
+                                  f"out_dir: {tmp_path}/out\n")
+        assert main(["energy", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("energy: "))
+        assert lines[at + 1] == "  members=random modes=2 decay=1.5"
+        note = (f"  note: initial.kind={kind} is for solve and observe; "
+                "energy runs the seeded random ensemble")
+        assert (lines[at + 2] == note) == (kind != "random")
+        assert lines[at + 2 + (kind != "random")].startswith("  C_energy=")
 
     @pytest.mark.filterwarnings("error")
     def test_huge_flux_is_classified(self, tmp_path, capsys):

@@ -22,13 +22,14 @@ from symhyp import (
     bump_profile,
     check_hypotheses,
     estimate_observability,
+    random_initial_profile,
     random_smooth_separable,
     scan_carleman,
     verify_energy_estimate,
 )
 from symhyp import estimates
 
-from conftest import system_scenario
+from conftest import mirror_member, mirror_scenario, system_scenario
 
 
 def _indefinite_h0():
@@ -281,6 +282,24 @@ class TestEstimateObservability:
         assert report.degenerate == 1
         assert math.isnan(report.c_obs)
 
+    @pytest.mark.parametrize("t_final", [1.5, 0.5])  # past / before T_min
+    def test_all_degenerate_study_inconclusive(self, t_final):
+        sc = build_scenario("transport", nx=51, t_final=t_final)
+        report = estimate_observability(sc, members=[np.zeros((51, 1))] * 2)
+        assert report.verdict == "INCONCLUSIVE"
+        assert report.counterexample is None
+        assert report.degenerate == 2
+
+    def test_counterexample_skips_degenerate_members(self):
+        sc = build_scenario("transport", nx=51, t_final=0.5)
+        live = bump_profile(sc.grid, (0.0, 0.4), sc.n_comp)
+        report = estimate_observability(
+            sc, members=[np.zeros((51, 1)), live, 0.5 * live])
+        assert report.verdict == "COUNTEREXAMPLE"
+        assert report.counterexample["member"] == 1
+        assert report.counterexample["ratio"] == report.c_obs == \
+            report.ratios[1]
+
     def test_ensemble_monotonicity(self):
         sc = build_scenario("transport", nx=101, t_final=1.5)
         small = estimate_observability(sc, ensemble=3, seed=4)
@@ -312,3 +331,63 @@ class TestVerifyEnergyEstimate:
         report = verify_energy_estimate(sc, members=[np.zeros((51, 1))])
         assert report.degenerate == 1
         assert math.isnan(report.c_energy)
+
+
+class TestMirror:
+    """Each study on coupled-varying and on its mirror image, with explicit
+    members and their mirrors, a zero member among them: the same numbers
+    to rounding, the same verdicts and degenerate counts."""
+
+    @staticmethod
+    def _pair(t_final=None):
+        sc = build_scenario("coupled-varying", nx=41, t_final=t_final)
+        return sc, mirror_scenario(sc)
+
+    @staticmethod
+    def _rows(sc):
+        # seeds whose energy ratio passes 1 (most read 1.0, at t = 0)
+        return [random_initial_profile(sc.grid, 2, seed)
+                for seed in (3, 5)] + [np.zeros((41, 2))]
+
+    @staticmethod
+    def _same(got, want):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0, nan_ok=True)
+
+    @pytest.mark.parametrize("t_final", [None, 0.5])  # past / before T_min
+    def test_observability(self, t_final):
+        sc, mirrored = self._pair(t_final)
+        members = self._rows(sc)
+        report = estimate_observability(sc, members=members)
+        mirror = estimate_observability(
+            mirrored, members=list(map(mirror_member, members)))
+        self._same(mirror.ratios, report.ratios)
+        assert mirror.t_min == pytest.approx(report.t_min, rel=1e-12)
+        assert (mirror.verdict, mirror.degenerate) == \
+            (report.verdict, report.degenerate)
+        assert report.degenerate == 1
+
+    def test_energy(self):
+        sc, mirrored = self._pair()
+        members = self._rows(sc)
+        report = verify_energy_estimate(sc, members=members)
+        mirror = verify_energy_estimate(
+            mirrored, members=list(map(mirror_member, members)))
+        self._same(mirror.ratios, report.ratios)
+        self._same(mirror.c_energy, report.c_energy)
+        assert mirror.degenerate == report.degenerate == 1
+
+    def test_carleman_scan(self):
+        sc, mirrored = self._pair()
+        members = [random_smooth_separable(sc.grid, 2, seed)
+                   for seed in range(2)]
+        members += [members[0].materialize(), GridFunction.zeros(sc.grid, 2)]
+        s_grid = (1.0, 4.0, 16.0)
+        report = scan_carleman(sc, s_grid=s_grid, members=members)
+        mirror = scan_carleman(mirrored, s_grid=s_grid,
+                               members=list(map(mirror_member, members)))
+        self._same([r.ratio for r in mirror.coarse.rows],
+                   [r.ratio for r in report.coarse.rows])
+        self._same(mirror.rho_max, report.rho_max)
+        assert (mirror.s0_hat, mirror.coarse.degenerate) == \
+            (report.s0_hat, report.coarse.degenerate)
+        assert report.coarse.degenerate == 1
