@@ -200,13 +200,17 @@ def scan_carleman(scenario: Scenario, ensemble: int = 20,
     With refine=True the identical smooth functions are resampled on the
     node-doubled grid and the relative drift of c_hat is reported.
 
+    The s grid is taken as a set: sorted ascending, duplicates dropped,
+    so the report does not depend on the order it was given in.
+
     Explicit `members`, dense or separable, replace the generated ensemble
     (refinement is skipped then, since arbitrary samples cannot be
     resampled).  A member whose ratio is nan (0/0) at every s is counted
     as degenerate, and nan ratios are excluded from every maximum.
     """
     check_hypotheses(scenario).require("weight_coercivity")
-    s_grid = tuple(float(s) for s in s_grid)
+    # a set: the stabilized tail reads the upper half of ascending s
+    s_grid = tuple(sorted({float(s) for s in s_grid}))
     coarse, *finer = [_scan_pass(sc, s_grid, ms) for sc, ms in _passes(
         scenario, members, ensemble, lambda grid, i: random_smooth_separable(
             grid, scenario.n_comp, seed + i, modes=modes, decay=decay),

@@ -77,6 +77,16 @@ class SpaceTimeGrid:
             raise GridError(f"x_hi must exceed x_lo (got [{self.x_lo}, {self.x_hi}])")
         if not self.t_final > 0:
             raise GridError(f"t_final must be positive (got {self.t_final})")
+        # a fractional count builds nodes past x_hi or T, and an infinite
+        # bound gives nan coordinates
+        for name in ("nx", "nt"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise GridError(f"{name} must be an integer "
+                                f"(got {getattr(self, name)!r})")
+        for name in ("x_lo", "x_hi", "t_final"):
+            if not np.isfinite(getattr(self, name)):
+                raise GridError(f"{name} must be finite "
+                                f"(got {getattr(self, name)!r})")
 
     @property
     def hx(self) -> float:
@@ -100,7 +110,16 @@ class SpaceTimeGrid:
         return (self.nt, self.nx)
 
     def node(self, i: int, n: int) -> tuple[float, float]:
-        return (self.x_lo + i * self.hx, n * self.ht)
+        return (float(self.x_lo + i * self.hx), float(n * self.ht))
+
+    def node_of(self, values: np.ndarray,
+                pick=np.argmin) -> tuple[float, float]:
+        """(x, t) of the first node where pick (np.argmin or np.argmax)
+        finds per-node values (rows, nx); a one-row array of a
+        time-independent field names n = 0, the first such node of the
+        full grid as well."""
+        n, i = np.unravel_index(int(pick(values)), values.shape)
+        return self.node(int(i), int(n))
 
     def refined(self) -> "SpaceTimeGrid":
         """Halve both spacings while keeping every existing node."""
@@ -436,6 +455,12 @@ def _eig2(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mid - rad, mid + rad
 
 
+def _apply(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """M v over matching leading axes of a stack of matrices (..., n, n)
+    and one of vectors (..., n): the one coefficient apply."""
+    return np.einsum("...ab,...b->...a", mats, vecs)
+
+
 def _inverse_factor(h0m: np.ndarray) -> np.ndarray:
     """L^-1 per node, for the Cholesky factor L of h0 = L L^T.
 
@@ -534,9 +559,10 @@ class SpatialWeight:
         return cls(fn, deriv, label=f"linear(a={slope}, b={offset})")
 
 
-#: time rows of per-node samples that node-wise work (node speeds,
-#: coercivity eigenvalues) forms at once, which bounds its temporaries
-ROW_BLOCK = 256
+#: time rows that node-wise work forms at once: the node speeds and the
+#: coercivity eigenvalues (`GridSamples.node_map`), and the march's bands
+#: and ring.  It bounds their temporaries
+ROW_BLOCK = 64
 
 
 def row_block(arrays, start: int, stop: int) -> list[np.ndarray]:
@@ -590,10 +616,9 @@ class GridSamples:
         """
         lmin, _ = eig_bounds(self.h0)
         if lmin.min() <= 0.0:
-            n, i = np.unravel_index(int(np.argmin(lmin)), lmin.shape)
+            x, t = self.grid.node_of(lmin)
             raise SingularCoefficientError(
-                f"h0 is not positive definite at x={float(self.grid.x[i])}, "
-                f"t={float(self.grid.t[n])} "
+                f"h0 is not positive definite at x={x}, t={t} "
                 f"(lambda_min={float(lmin.min())!r})")
         # a time-independent h0 is factored once for every h1 row
         linv = _inverse_factor(self.h0) if len(self.h0) == 1 else None

@@ -21,6 +21,7 @@ from .fields import (
     GridFunction,
     Scenario,
     SeparableGridFunction,
+    _apply,
     central_derivative,
     check_same_grid,
 )
@@ -83,8 +84,7 @@ def _trapezoid_weights(n: int, h: float) -> np.ndarray:
 def _quad_form(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """(M v . v) over matching leading axes, as two two-operand
     contractions: M v first, then its dot product with v."""
-    return np.einsum("...a,...a->...",
-                     np.einsum("...ab,...b->...a", mats, vecs), vecs)
+    return np.einsum("...a,...a->...", _apply(mats, vecs), vecs)
 
 
 def carleman_terms(u: GridFunction | SeparableGridFunction,
@@ -334,6 +334,6 @@ def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
     w = egrow * u.values
     lhs = egrow * _principal(samples, edecay * w, grid)
     rhs = (_principal(samples, w, grid)
-           - s * np.einsum("txab,txb->txa", weight_matrix(scenario), w))
+           - s * _apply(weight_matrix(scenario, samples.h0, samples.h1), w))
 
     return float(np.max(np.abs((lhs - rhs)[1:-1, 1:-1])))

@@ -69,44 +69,26 @@ def classify_boundary_series(scenario: Scenario) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoercivityCheck:
-    """Grid minimum of an eigenvalue bound, with the witnessing node."""
+    """Grid minimum of an eigenvalue bound, with the witnessing node; the
+    h0 bounds check also carries the grid maximum M of lambda_max."""
 
     name: str
     value: float
     passed: bool
     worst_x: float
     worst_t: float
+    M: float | None = None
+
+    @property
+    def delta1(self) -> float:
+        return self.value
 
 
-@dataclass(frozen=True)
-class H0BoundsCheck:
-    """Two-sided spectral bounds delta1 <= h0 <= M over the grid."""
-
-    delta1: float
-    M: float
-    passed: bool
-    worst_x: float
-    worst_t: float
-
-
-def _argmin_node(values: np.ndarray, grid: SpaceTimeGrid) -> tuple[float, float]:
-    # a one-row (1, nx) array of a time-independent field names n = 0, the
-    # first minimizing node of the full grid as well
-    n, i = np.unravel_index(int(np.argmin(values)), values.shape)
-    return grid.node(int(i), int(n))
-
-
-def weight_matrix(scenario: Scenario) -> np.ndarray:
-    """(d_t phi) h0 + (d_x phi) h1 = -beta h0 + eta'(x) h1 on node samples.
-
-    Shape (nt, nx, n, n), or (1, nx, n, n) when h0 and h1 are both
-    time-independent.
-    """
-    samples = scenario.samples
-    return _weight(scenario, samples.h0, samples.h1)
-
-
-def _weight(scenario: Scenario, h0: np.ndarray, h1: np.ndarray) -> np.ndarray:
+def weight_matrix(scenario: Scenario, h0: np.ndarray,
+                  h1: np.ndarray) -> np.ndarray:
+    """(d_t phi) h0 + (d_x phi) h1 = -beta h0 + eta'(x) h1 on coefficient
+    rows (rows, nx, n, n) of the scenario's samples, whole or one row
+    block; the result has their broadcast shape."""
     etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
     return -scenario.beta * h0 + etax * h1
 
@@ -118,8 +100,8 @@ def _coercivity(name: str, scenario: Scenario, matrices) -> CoercivityCheck:
     lmin = scenario.samples.node_map(
         lambda h0, h1: eig_bounds(matrices(h0, h1))[0])
     value = float(lmin.min())
-    wx, wt = _argmin_node(lmin, scenario.grid)
-    return CoercivityCheck(name, value, value > 0.0, wx, wt)
+    return CoercivityCheck(name, value, value > 0.0,
+                           *scenario.grid.node_of(lmin))
 
 
 def check_weight_coercivity(scenario: Scenario) -> CoercivityCheck:
@@ -130,7 +112,7 @@ def check_weight_coercivity(scenario: Scenario) -> CoercivityCheck:
     positive definite.  Fails with the worst node recorded.
     """
     return _coercivity("weight_coercivity", scenario,
-                       lambda h0, h1: _weight(scenario, h0, h1))
+                       lambda h0, h1: weight_matrix(scenario, h0, h1))
 
 
 def check_eta_coercivity(scenario: Scenario) -> CoercivityCheck:
@@ -139,13 +121,12 @@ def check_eta_coercivity(scenario: Scenario) -> CoercivityCheck:
     return _coercivity("eta_coercivity", scenario, lambda h0, h1: etax * h1)
 
 
-def check_h0_bounds(scenario: Scenario) -> H0BoundsCheck:
+def check_h0_bounds(scenario: Scenario) -> CoercivityCheck:
     """Spectral bounds of h0: delta1 = min lambda_min, M = max lambda_max."""
     lmin, lmax = eig_bounds(scenario.samples.h0)
     delta1 = float(lmin.min())
-    m_upper = float(lmax.max())
-    wx, wt = _argmin_node(lmin, scenario.grid)
-    return H0BoundsCheck(delta1, m_upper, delta1 > 0.0, wx, wt)
+    return CoercivityCheck("h0_bounds", delta1, delta1 > 0.0,
+                           *scenario.grid.node_of(lmin), M=float(lmax.max()))
 
 
 def eta_oscillation(eta: SpatialWeight, grid: SpaceTimeGrid) -> float:
@@ -271,9 +252,9 @@ class HypothesisReport:
 
 def check_hypotheses(scenario: Scenario) -> HypothesisReport:
     """Run every structural check on a scenario and collect the constants."""
-    weight = check_weight_coercivity(scenario)
-    eta_c = check_eta_coercivity(scenario)
-    h0b = check_h0_bounds(scenario)
+    checks = [check(scenario) for check in (
+        check_weight_coercivity, check_eta_coercivity, check_h0_bounds)]
+    weight, eta_c, h0b = checks
     grid = scenario.grid
     osc = eta_oscillation(scenario.eta, grid)
     if eta_c.passed and h0b.passed:
@@ -282,17 +263,8 @@ def check_hypotheses(scenario: Scenario) -> HypothesisReport:
     else:
         t_min = math.nan
         time_ok = False
-    verdicts = {
-        "weight_coercivity": weight.passed,
-        "eta_coercivity": eta_c.passed,
-        "h0_bounds": h0b.passed,
-        "time_window": time_ok,
-    }
-    witnesses = {
-        "weight_coercivity": (weight.worst_x, weight.worst_t, weight.value),
-        "eta_coercivity": (eta_c.worst_x, eta_c.worst_t, eta_c.value),
-        "h0_bounds": (h0b.worst_x, h0b.worst_t, h0b.delta1),
-    }
+    verdicts = {c.name: c.passed for c in checks} | {"time_window": time_ok}
+    witnesses = {c.name: (c.worst_x, c.worst_t, c.value) for c in checks}
     return HypothesisReport(
         scenario=scenario.name,
         beta=scenario.beta,

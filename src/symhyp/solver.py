@@ -38,11 +38,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CflViolationError, GridError, GridMismatchError
 from .fields import (
+    ROW_BLOCK,
     SIDES,
     GridFunction,
     Scenario,
     SeparableGridFunction,
     SpaceTimeGrid,
+    _apply,
     central_derivative,
     check_finite,
     check_same_grid,
@@ -55,10 +57,6 @@ CFL_DEFAULT = 0.5
 #: alone outgrows 80 MB, and the bound of a huge coefficient (1e300, or an
 #: infinite speed) would fail in allocation, so it is refused instead
 MAX_TIME_NODES = 10**7
-
-#: time rows banded at once when a coefficient depends on t; bounds the
-#: stencil's memory to this many rows
-BAND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     each is evaluated at every time node before the march, and missing
     sides default to zero data.
     observer: optional callable observer(first, rows).  The march keeps a
-    ring of BAND_ROWS + 1 rows, the carried row and one block of new rows,
+    ring of ROW_BLOCK + 1 rows, the carried row and one block of new rows,
     passes time row 0 and then each block of new rows (time nodes first ..
     first + len(rows) - 1, a view the next block overwrites) to the
     observer, and returns None.  Without an observer, solve copies every
@@ -239,7 +237,7 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     the source's share of nodes 1, 2 and -3, -2 through the same closure
     map.  Bands are built at the start of a block: for static coefficients
     at the first block only, one row broadcast over every block; for
-    time-dependent ones at every block, BAND_ROWS time rows at a time, so
+    time-dependent ones at every block, ROW_BLOCK time rows at a time, so
     no stencil over all time rows is ever held.
     """
     grid = scenario.grid
@@ -252,15 +250,15 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
                         f"nodes per side: need nx >= 4 (got {nx})")
 
     speeds = samples.speeds
-    fast = np.unravel_index(int(np.argmax(speeds)), speeds.shape)
-    alpha = float(speeds[fast])
+    alpha = float(speeds.max())
     cfl_used = alpha * ht / hx
     if cfl_used > cfl_factor * (1 + 1e-12):
+        x, t = grid.node_of(speeds, np.argmax)
         raise CflViolationError(
             f"time step ht={ht!r} violates the Courant bound "
-            f"{cfl_factor!r}*hx/alpha with alpha={alpha!r} at "
-            f"x={float(grid.x[fast[1]])!r}, t={float(grid.t[fast[0]])!r}; "
-            f"need nt >= {admissible_time_nodes(scenario, cfl_factor)}")
+            f"{cfl_factor!r}*hx/alpha with alpha={alpha!r} at x={x!r}, "
+            f"t={t!r}; need nt >= "
+            f"{admissible_time_nodes(scenario, cfl_factor)}")
 
     # False when a coefficient depends on t
     static = max(len(speeds), 1 if samples.p is None else len(samples.p)) == 1
@@ -289,7 +287,7 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     # output node i of row k + 1 reads lie in row k and the zeros on either
     # side of it, so no step reads memory it writes, and every window and
     # every row is a zero-copy view of it
-    block = min(BAND_ROWS, nt - 1)
+    block = min(ROW_BLOCK, nt - 1)
     size, stride, width = nx * n, (nx + 3) * n, 7 * n
     buf = np.zeros(3 * n + (block + 1) * stride)
     u = buf[3 * n:].reshape(block + 1, stride)[:, :size] \
@@ -316,9 +314,8 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
                                            reads, new):
             np.einsum("icq,iq->ic", band, window, out=row)
             if inv_h0 is not None:
-                force = ht * np.einsum(
-                    "iab,ib->ia", inv_h0[step],
-                    scenario.source(grid.x, np.asarray(tgrid[step]))[1:-1])
+                force = ht * _apply(inv_h0[step], scenario.source(
+                    grid.x, np.asarray(tgrid[step]))[1:-1])
                 row[1:-1] += force
                 near = np.stack([force[:2].ravel(), force[-2:].ravel()])
                 row[::nx - 1] += (fold[:, min(step + 1, fold.shape[1] - 1)]
@@ -341,8 +338,7 @@ def _principal(samples, vals: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     that `residual` and `functionals.conjugation_defect` share."""
     vt = central_derivative(vals, "t", grid)
     vx = central_derivative(vals, "x", grid)
-    return (np.einsum("txab,txb->txa", samples.h0, vt)
-            + np.einsum("txab,txb->txa", samples.h1, vx))
+    return _apply(samples.h0, vt) + _apply(samples.h1, vx)
 
 
 def residual(u: GridFunction | SeparableGridFunction,
@@ -375,7 +371,7 @@ def residual(u: GridFunction | SeparableGridFunction,
         u = u.materialize()
     out = _principal(samples, u.values, grid)
     if samples.p is not None:
-        out = out + np.einsum("txab,txb->txa", samples.p, u.values)
+        out = out + _apply(samples.p, u.values)
     return GridFunction(grid, out)
 
 

@@ -1,5 +1,6 @@
 """Shared helpers: independent quadrature oracles, small scenario builders
-and the mirror transform of a scenario and its members.
+and the mirror and component-order transforms of a scenario and its
+members.
 
 The midpoint evaluators below are the second set of books for the quadrature
 double-entry checks: they sample *analytic* integrands at cell centers, so
@@ -103,6 +104,42 @@ def mirror_member(u):
     if isinstance(u, SeparableGridFunction):
         return SeparableGridFunction(u.grid, u.x_factor[::-1], u.t_factor)
     return np.asarray(u)[::-1]
+
+
+#: index of the reversed component axis of a vector and of a matrix
+_REVERSED = (..., slice(None, None, -1))
+_REVERSED2 = _REVERSED + (slice(None, None, -1),)
+
+
+def permute_scenario(sc: Scenario) -> Scenario:
+    """The scenario in the reversed component order v = P u, P the reversal
+    of the component axis (the swap of the two components for n = 2).
+
+    Every matrix coefficient h becomes P h P^T and the source P f, so every
+    number a study prints must stay as it is, up to rounding, when its
+    members are permuted too (`permute_member`).
+    """
+    def permuted(fld, index):
+        if fld is None:
+            return None
+        return replace(fld, fn=lambda x, t: fld(x, t)[index],
+                       label=f"permuted {fld.label}")
+
+    return replace(sc, name=f"permuted {sc.name}",
+                   h0=permuted(sc.h0, _REVERSED2),
+                   h1=permuted(sc.h1, _REVERSED2), p=permuted(sc.p, _REVERSED2),
+                   source=permuted(sc.source, _REVERSED))
+
+
+def permute_member(u):
+    """A member in the reversed component order: P u for an initial row
+    (nx, n), a dense member or a separable one, whose x factor is
+    permuted."""
+    if isinstance(u, GridFunction):
+        return GridFunction(u.grid, u.values[_REVERSED])
+    if isinstance(u, SeparableGridFunction):
+        return SeparableGridFunction(u.grid, u.x_factor[:, ::-1], u.t_factor)
+    return np.asarray(u)[_REVERSED]
 
 
 @pytest.fixture

@@ -18,10 +18,13 @@ from symhyp import (
     SpaceTimeGrid,
     SpatialWeight,
     SymMatrixField,
+    admissible_time_nodes,
     build_scenario,
     bump_profile,
     check_hypotheses,
+    conjugation_defect,
     estimate_observability,
+    ibp_identity_defect,
     random_initial_profile,
     random_smooth_separable,
     scan_carleman,
@@ -29,7 +32,20 @@ from symhyp import (
 )
 from symhyp import estimates
 
-from conftest import mirror_member, mirror_scenario, system_scenario
+from conftest import (
+    mirror_member,
+    mirror_scenario,
+    permute_member,
+    permute_scenario,
+    system_scenario,
+)
+
+#: the constants of a hypothesis report
+CONSTANTS = ("beta", "delta", "delta0", "delta1", "M", "T_min", "delta2")
+
+
+def _constants(report):
+    return [getattr(report, name) for name in CONSTANTS]
 
 
 def _indefinite_h0():
@@ -230,6 +246,19 @@ class TestScanCarleman:
         assert out.stdout.strip() == "False"
 
 
+    def test_s_grid_is_a_set(self):
+        # the tail level is the median of the upper half of ascending s:
+        # read by position from this shuffled grid it gave s0_hat=2.0
+        sc = build_scenario("transport", nx=21)
+        report, shuffled = (scan_carleman(sc, s_grid=s_grid, refine=False)
+                            for s_grid in ((1, 2, 4, 8, 16),
+                                           (16, 8, 4, 2, 1, 4.0)))
+        assert shuffled.s_grid == report.s_grid == (1.0, 2.0, 4.0, 8.0, 16.0)
+        assert (shuffled.s0_hat, shuffled.c_hat, shuffled.rho_max) == \
+            (report.s0_hat, report.c_hat, report.rho_max)
+        assert report.s0_hat == 4.0
+
+
 class TestEstimateObservability:
     def test_refusal_on_indefinite_flux(self):
         sc = build_scenario("wave-type", nx=31)
@@ -391,3 +420,80 @@ class TestMirror:
         assert (mirror.s0_hat, mirror.coarse.degenerate) == \
             (report.s0_hat, report.coarse.degenerate)
         assert report.coarse.degenerate == 1
+
+    def test_hypothesis_report(self):
+        sc, mirrored = self._pair()
+        report, mirror = map(check_hypotheses, (sc, mirrored))
+        assert _constants(mirror) == _constants(report)
+        assert mirror.verdicts == report.verdicts
+        assert (mirror.boundary_labels == report.boundary_labels[::-1]).all()
+        # the weight and eta minima sit at one node each; h0 = I ties at
+        # every node, so only its value is compared
+        span = sc.grid.x_lo + sc.grid.x_hi
+        for name in ("weight_coercivity", "eta_coercivity"):
+            x, t, lam = report.witnesses[name]
+            assert mirror.witnesses[name] == \
+                pytest.approx((span - x, t, lam), rel=0.0, abs=1e-15)
+        assert mirror.witnesses["h0_bounds"][2] == \
+            report.witnesses["h0_bounds"][2]
+
+    def test_admissible_time_nodes(self):
+        sc, mirrored = self._pair()
+        assert admissible_time_nodes(mirrored) == admissible_time_nodes(sc) \
+            == 580
+
+    @pytest.mark.parametrize("name", ["transport", "coupled-spd",
+                                      "coupled-varying"])
+    def test_identity_defects(self, name):
+        sc = build_scenario(name, nx=41)
+        mirrored = mirror_scenario(sc)
+        w = random_smooth_separable(sc.grid, sc.n_comp, 0).materialize()
+        for axis in "xt":
+            assert ibp_identity_defect(mirror_member(w), mirrored, axis) == \
+                ibp_identity_defect(w, sc, axis)
+        # the conjugation defect cancels O(1) terms down to O(h^2), so its
+        # relative rounding is about 1e-16 / h^2: 1.6e-13 at nx 41
+        for s in (1.0, 4.0, 16.0):
+            assert conjugation_defect(mirror_member(w), mirrored, s) == \
+                pytest.approx(conjugation_defect(w, sc, s), rel=1e-11, abs=0.0)
+
+
+class TestComponentOrder:
+    """Each study on coupled-varying and on it with its two components
+    swapped (h -> P h P^T), with explicit members and their swaps, a zero
+    member among them: the same constants and ratios to rounding."""
+
+    @staticmethod
+    def _pair():
+        sc = build_scenario("coupled-varying", nx=41)
+        return sc, permute_scenario(sc)
+
+    def test_hypothesis_report(self):
+        report, permuted = map(check_hypotheses, self._pair())
+        TestMirror._same(_constants(permuted), _constants(report))
+        assert permuted.verdicts == report.verdicts
+
+    @pytest.mark.parametrize("study", [estimate_observability,
+                                       verify_energy_estimate])
+    def test_marched_studies(self, study):
+        sc, permuted = self._pair()
+        members = TestMirror._rows(sc)
+        report = study(sc, members=members)
+        swapped = study(permuted, members=list(map(permute_member, members)))
+        TestMirror._same(swapped.ratios, report.ratios)
+        assert swapped.degenerate == report.degenerate == 1
+
+    def test_carleman_scan(self):
+        sc, permuted = self._pair()
+        members = [random_smooth_separable(sc.grid, 2, seed)
+                   for seed in range(2)]
+        members += [members[0].materialize(), GridFunction.zeros(sc.grid, 2)]
+        s_grid = (1.0, 4.0, 16.0)
+        report = scan_carleman(sc, s_grid=s_grid, members=members)
+        swapped = scan_carleman(permuted, s_grid=s_grid,
+                                members=list(map(permute_member, members)))
+        TestMirror._same([r.ratio for r in swapped.coarse.rows],
+                   [r.ratio for r in report.coarse.rows])
+        TestMirror._same(swapped.rho_max, report.rho_max)
+        assert (swapped.s0_hat, swapped.coarse.degenerate) == \
+            (report.s0_hat, report.coarse.degenerate)

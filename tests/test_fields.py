@@ -55,6 +55,20 @@ class TestSpaceTimeGrid:
         with pytest.raises(GridError):
             SpaceTimeGrid(**kwargs)
 
+    # a fractional nx built 42 nodes up to x = 1.0123 and nt = 2.5 three
+    # up to t = 1.333; an infinite bound gave nan coordinates
+    @pytest.mark.parametrize("field, value", [
+        ("nx", 41.5), ("nt", 2.5), ("x_lo", -np.inf), ("x_hi", np.inf),
+        ("t_final", np.inf)])
+    def test_unbuildable_grid_refused_naming_the_field(self, field, value):
+        kwargs = dict(x_lo=0.0, x_hi=1.0, t_final=1.0, nx=41, nt=3)
+        with pytest.raises(GridError, match=f"^{field} must be"):
+            SpaceTimeGrid(**{**kwargs, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = SpaceTimeGrid(0.0, 1.0, 1.0, np.int64(41), np.int32(3))
+        assert grid.shape == (3, 41)
+
 
 class TestSampleField:
     def test_constant_field_everywhere(self, unit_grid):

@@ -267,7 +267,8 @@ class TestTimeDependentSamples:
     def test_row_blocks_match_every_node_at_once(self):
         sc = self.scenario()
         etax = sc.eta.derivative(sc.grid.x)[None, :, None, None]
-        for check, mats in ((check_weight_coercivity, weight_matrix(sc)),
+        for check, mats in ((check_weight_coercivity,
+                             weight_matrix(sc, sc.samples.h0, sc.samples.h1)),
                             (check_eta_coercivity, etax * sc.samples.h1)):
             res = check(sc)
             lmin = eig_bounds(mats)[0]

@@ -43,9 +43,9 @@ from symhyp import (
 )
 from symhyp import fields, solver
 from symhyp.catalog import CatalogEntry
-from symhyp.fields import SPEED_TOL, _closure_projectors
+from symhyp.fields import ROW_BLOCK, SPEED_TOL, _closure_projectors
 from symhyp.functionals import MarchRecord
-from symhyp.solver import BAND_ROWS, _inflow_data, _normalize_initial
+from symhyp.solver import _inflow_data, _normalize_initial
 
 import test_functionals
 from conftest import breathing_h0, scalar_scenario, system_scenario
@@ -384,7 +384,7 @@ def _marched_cases():
         forced, h0=SymMatrixField(2, breathing_h0, time_independent=False))
     breathing = breathing.with_grid(SpaceTimeGrid(
         0.0, 1.0, 1.0, 41, admissible_time_nodes(breathing)))
-    assert breathing.grid.nt > 2 * BAND_ROWS
+    assert breathing.grid.nt > 2 * ROW_BLOCK
     for name, sc in (("breathing-h0", replace(breathing, source=None)),
                      ("breathing-h0-source", breathing)):
         cases[name] = (sc, fields.random_initial_profile(sc.grid, 2, seed=9),
@@ -477,12 +477,12 @@ class TestBandedStep:
 
 
 def _observed_cases():
-    """MARCHED plus grids whose nt - 1 is below BAND_ROWS, equal to it and
+    """MARCHED plus grids whose nt - 1 is below ROW_BLOCK, equal to it and
     not a multiple of it, for static and time-dependent coefficients."""
     cases = dict(MARCHED)
     static = build_scenario("coupled-varying", nx=41, t_final=0.2)
     pulsing = MARCHED["pulsing"][0]
-    for steps in (BAND_ROWS - 1, BAND_ROWS, 2 * BAND_ROWS + 11):
+    for steps in (ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 11):
         for name, sc in (("static", static), ("pulsing", pulsing)):
             sc = sc.with_grid(replace(sc.grid, nt=steps + 1))
             cases[f"{name}-{steps}-steps"] = (
@@ -522,7 +522,7 @@ class TestObservedMarch:
         # static bands are built at the first block and reused by every
         # later one: rebuilding them per block adds about a fifth to a march
         sc, u0, inflow = OBSERVED[name]
-        blocks = math.ceil((sc.grid.nt - 1) / BAND_ROWS)
+        blocks = math.ceil((sc.grid.nt - 1) / ROW_BLOCK)
         assert blocks >= 3
         built = []
         interior_bands = solver._interior_bands
@@ -539,8 +539,8 @@ class TestObservedMarch:
                 assert len(built) == 1
             else:
                 assert built == [
-                    (k, min(k + BAND_ROWS, sc.grid.nt - 1))
-                    for k in range(0, sc.grid.nt - 1, BAND_ROWS)]
+                    (k, min(k + ROW_BLOCK, sc.grid.nt - 1))
+                    for k in range(0, sc.grid.nt - 1, ROW_BLOCK)]
                 assert len(built) == blocks
 
     def test_observer_sees_every_row_once_in_ring_blocks(self):
@@ -548,9 +548,9 @@ class TestObservedMarch:
         seen = []
         solve(sc, u0, observer=lambda first, rows: seen.append(
             (first, len(rows), rows.base is not None)))
-        assert seen == [(0, 1, True), (1, BAND_ROWS, True),
-                        (1 + BAND_ROWS, BAND_ROWS, True),
-                        (1 + 2 * BAND_ROWS, 11, True)]
+        assert seen == [(0, 1, True), (1, ROW_BLOCK, True),
+                        (1 + ROW_BLOCK, ROW_BLOCK, True),
+                        (1 + 2 * ROW_BLOCK, 11, True)]
 
     @staticmethod
     def _nan_data(sc):
@@ -584,7 +584,7 @@ class TestObservedMarch:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         node = int(messages[0].split("n=")[1].split(")")[0])
-        assert BAND_ROWS < node < sc.grid.nt
+        assert ROW_BLOCK < node < sc.grid.nt
 
     def test_energy_study_holds_no_solution(self):
         # the benchmark's energy-march config; one refined solution is
