@@ -76,28 +76,22 @@ def catalog() -> dict[str, CatalogEntry]:
     )}
 
 
-def build_scenario(name: str, nx: int = 201, nt: int | None = None,
-                   t_final: float | None = None, beta: float | None = None,
+def build_scenario(name: str | CatalogEntry, nx: int = 201,
+                   nt: int | None = None, t_final: float | None = None,
+                   beta: float | None = None,
                    eta: tuple[float, float] = (1.0, 0.0),
                    domain: tuple[float, float] = (0.0, 1.0),
                    cfl_factor: float = CFL_DEFAULT) -> Scenario:
-    """Instantiate a catalog entry on a concrete grid.
+    """Instantiate a catalog entry, by name or as an entry, on a grid.
 
     nt=None derives the time resolution from the Courant bound at
     `cfl_factor`; beta/t_final default to the entry's values; eta is the
     linear profile slope*x + offset.
     """
-    entries = catalog()
-    if name not in entries:
-        raise ConfigError([f"unknown scenario {name!r}; "
-                           f"known: {', '.join(sorted(entries))}"])
-    return _instantiate(entries[name], nx, nt, t_final, beta, eta, domain,
-                        cfl_factor)
-
-
-def _instantiate(entry: CatalogEntry, nx, nt, t_final, beta, eta, domain,
-                 cfl_factor) -> Scenario:
-    """build_scenario on an entry that need not be in the catalog."""
+    entry = name if isinstance(name, CatalogEntry) else catalog().get(name)
+    if entry is None:
+        known = ", ".join(sorted(catalog()))
+        raise ConfigError([f"unknown scenario {name!r}; known: {known}"])
     t_fin = entry.default_t_final if t_final is None else float(t_final)
     b = entry.default_beta if beta is None else float(beta)
     grid = SpaceTimeGrid(domain[0], domain[1], t_fin, nx,

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .catalog import CatalogEntry, _instantiate, catalog
+from .catalog import CatalogEntry, build_scenario, catalog
 from .errors import AsymmetricFieldError, BetaSelectionError, ConfigError
 from .fields import MatrixField, Scenario, SymMatrixField
 from .hypotheses import check_hypotheses, select_beta
@@ -391,9 +391,9 @@ def resolve_scenario(cfg: RunConfig) -> tuple[Scenario, dict]:
     entry = _entry(cfg.scenario, cfg.t_final, cfg.beta, errors)
     if entry is None:
         raise ConfigError(errors)
-    scenario = _instantiate(entry, cfg.nx, cfg.nt, cfg.t_final,
-                            None if auto_beta else cfg.beta, cfg.eta,
-                            cfg.domain, cfg.cfl_factor)
+    scenario = build_scenario(entry, cfg.nx, cfg.nt, cfg.t_final,
+                              None if auto_beta else cfg.beta, cfg.eta,
+                              cfg.domain, cfg.cfl_factor)
     info: dict[str, Any] = {"beta_source": "catalog-default"
                             if cfg.beta is None else
                             "auto" if auto_beta else "config"}

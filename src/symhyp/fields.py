@@ -576,9 +576,10 @@ class GridSamples:
 
     h0, h1 and p are as `sample_field` returns them, (nt, nx, n, n) or one
     row; p is None when the scenario has none.
-    flux is nu * h1 read from the end columns of the h1 samples at every
-    time node, (2, nt, n, n) in SIDES order, and plus / minus are its
-    boundary classes, (2, nt).  speeds holds the node speeds of the marcher
+    flux is nu * h1 read from the end columns of the h1 samples, at their
+    rows: (2, rows, n, n) in SIDES order, rows as for h1.  plus / minus are
+    its boundary classes, (2, rows); like the coefficients, they broadcast
+    over the time nodes.  speeds holds the node speeds of the marcher
     and closure its boundary projectors, each built on first use.  Every
     caller shares these arrays, so they are read-only.
     """
@@ -588,9 +589,8 @@ class GridSamples:
         self.h0 = sample_field(scenario.h0, grid)
         self.h1 = sample_field(scenario.h1, grid)
         self.p = None if scenario.p is None else sample_field(scenario.p, grid)
-        self.flux = np.stack([NORMALS[side] * np.broadcast_to(
-            self.h1[:, col], (grid.nt,) + self.h1.shape[2:])
-            for side, col in zip(SIDES, (0, -1))])
+        self.flux = np.stack([NORMALS[side] * self.h1[:, col]
+                              for side, col in zip(SIDES, (0, -1))])
         self.plus, self.minus = boundary_classes(self.flux)
         for arr in (self.flux, self.plus, self.minus):
             arr.flags.writeable = False
@@ -633,10 +633,10 @@ class GridSamples:
 
         Reads speeds first, so h0 is checked positive definite.
         """
-        flux = self.flux[:, :len(self.speeds)]
-        h0b = np.broadcast_to(np.stack([self.h0[:, 0], self.h0[:, -1]]),
-                              flux.shape)
-        projectors = _closure_projectors(flux, h0b)
+        shape = (2, len(self.speeds)) + self.flux.shape[2:]
+        h0b = np.stack([self.h0[:, 0], self.h0[:, -1]])
+        projectors = _closure_projectors(np.broadcast_to(self.flux, shape),
+                                         np.broadcast_to(h0b, shape))
         for arr in projectors:
             arr.flags.writeable = False
         return projectors

@@ -60,7 +60,8 @@ def classify_boundary_series(scenario: Scenario) -> np.ndarray:
     respect the per-node class.
     """
     samples = scenario.samples
-    return _labels(samples.plus, samples.minus)
+    return np.broadcast_to(_labels(samples.plus, samples.minus),
+                           (2, scenario.grid.nt))
 
 
 # ---------------------------------------------------------------------------

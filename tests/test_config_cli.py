@@ -24,6 +24,8 @@ from symhyp import (
     SpaceTimeGrid,
     SpatialWeight,
     SymMatrixField,
+    build_scenario,
+    catalog,
     parse_config,
     resolve_scenario,
     serialize_config,
@@ -241,6 +243,17 @@ class TestCatalogListing:
         assert "OK" in block
         assert "delta0=1" in block and "M=1" in block and "T_min=1" in block
 
+    def test_build_scenario_takes_an_entry(self):
+        # an entry outside the catalog, as config builds an inline one
+        entry = replace(catalog()["coupled-varying"], name="renamed",
+                        default_beta=0.25)
+        got = build_scenario(entry, nx=31)
+        want = build_scenario("coupled-varying", nx=31, beta=0.25)
+        assert (got.name, got.grid, got.beta) == ("renamed", want.grid, 0.25)
+        assert np.array_equal(got.samples.h1, want.samples.h1)
+        with pytest.raises(ConfigError, match="unknown scenario 'nope'"):
+            build_scenario("nope")
+
 
 def _cfg_file(tmp_path, text, name="cfg.yaml"):
     path = tmp_path / name
@@ -419,6 +432,20 @@ class TestCliRuns:
         out = capsys.readouterr().out
         assert out.count("pass") >= 4
         assert (tmp_path / "out" / "identities.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_identities_at_large_s_are_finite(self, tmp_path, capsys):
+        # s (max phi - min phi) = 1000 here, past where exp(s phi)
+        # overflows; both conjugation defects FAIL to shrink on nx 21
+        cfg = _cfg_file(tmp_path, "scenario: transport\ngrid: {nx: 21}\n"
+                        f"s_grid: [1, 400]\nout_dir: {tmp_path}/out\n")
+        assert main(["identities", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count("FAIL") == 2
+        for text in (captured.out,
+                     (tmp_path / "out" / "identities.csv").read_text()):
+            assert "nan" not in text
 
     def test_identities_hold_one_member_at_a_time(self, tmp_path,
                                                   monkeypatch):

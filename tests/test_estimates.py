@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,9 @@ from conftest import (
     permute_scenario,
     system_scenario,
 )
+# modules, not names, so that their test classes are not collected here
+import test_fields
+import test_functionals
 
 #: the constants of a hypothesis report
 CONSTANTS = ("beta", "delta", "delta0", "delta1", "M", "T_min", "delta2")
@@ -497,3 +501,111 @@ class TestComponentOrder:
         TestMirror._same(swapped.rho_max, report.rho_max)
         assert (swapped.s0_hat, swapped.coarse.degenerate) == \
             (report.s0_hat, report.coarse.degenerate)
+
+    def test_identity_defects(self):
+        sc, permuted = self._pair()
+        w = random_smooth_separable(sc.grid, 2, 0).materialize()
+        # reversed components reverse the order in which the ibp forms sum
+        # their n^2 terms, so the x defect moves in its last bits (1.2e-14)
+        for axis in "xt":
+            assert ibp_identity_defect(permute_member(w), permuted, axis) == \
+                pytest.approx(ibp_identity_defect(w, sc, axis), rel=1e-12,
+                              abs=0.0)
+        # rounding of about 1e-16 / h^2, as for the mirror (measured: equal)
+        for s in (1.0, 4.0, 16.0):
+            assert conjugation_defect(permute_member(w), permuted, s) == \
+                pytest.approx(conjugation_defect(w, sc, s), rel=1e-11, abs=0.0)
+
+
+#: transforms of a scenario, each with the same transform of a member
+TRANSFORMS = {"mirror": (mirror_scenario, mirror_member),
+              "permute": (permute_scenario, permute_member)}
+
+
+class TestOtherScenarios:
+    """The mirror and component-order relations beyond coupled-varying:
+    n = 3 with speeds of both signs, the time-dependent speed
+    1 + 0.5 sin 4t, and boundary classes that switch at t = 1.  Each study
+    whose hypotheses hold runs with explicit members on the scenario's
+    grid at its admissible nt."""
+
+    #: name: (scenario, admissible nt, whether the coefficients depend on x,
+    #: the studies whose hypotheses hold)
+    SCENARIOS = {
+        "speeds-mixed-3": (lambda: test_fields._speed_scenario(3, "mixed"),
+                           356, True, ("energy",)),
+        "pulsing": (
+            lambda: test_functionals.TestSeparableMembers.scenario("pulsing"),
+            121, False, ("energy", "observability", "carleman")),
+        "switch": (test_functionals.TestBoundaryClassSwitch.scenario,
+                   81, False, ("energy",)),
+    }
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_hypothesis_report(self, name, transform):
+        make, _, x_dependent, _ = self.SCENARIOS[name]
+        sc = make()
+        report = check_hypotheses(sc)
+        other = check_hypotheses(TRANSFORMS[transform][0](sc))
+        TestMirror._same(_constants(other), _constants(report))
+        assert other.verdicts == report.verdicts
+        mirrored = transform == "mirror"
+        labels = report.boundary_labels
+        assert (other.boundary_labels == (labels[::-1] if mirrored
+                                          else labels)).all()
+        # coefficients that do not depend on x tie along x, and both sides
+        # name the first node of the tie
+        span = sc.grid.x_lo + sc.grid.x_hi
+        for check, (x, t, lam) in report.witnesses.items():
+            if mirrored and x_dependent:
+                x = span - x
+            assert other.witnesses[check] == \
+                pytest.approx((x, t, lam), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_admissible_time_nodes(self, name):
+        make, nt, _, _ = self.SCENARIOS[name]
+        sc = make()
+        assert [admissible_time_nodes(f(sc)) for f, _ in
+                TRANSFORMS.values()] == [admissible_time_nodes(sc)] * 2 == \
+            [nt] * 2
+
+    @staticmethod
+    def _study(study, sc, members):
+        """The numbers a study prints, as one list, and its exact fields."""
+        if study == "carleman":
+            report = scan_carleman(sc, s_grid=(1.0, 4.0, 16.0),
+                                   members=members)
+            ratios = [r.ratio for r in report.coarse.rows]
+            return (ratios + list(report.rho_max),
+                    (report.s0_hat, report.coarse.degenerate))
+        if study == "observability":
+            report = estimate_observability(sc, members=members)
+            return (list(report.ratios) + [report.t_min],
+                    (report.verdict, report.degenerate))
+        report = verify_energy_estimate(sc, members=members)
+        return list(report.ratios) + [report.c_energy], report.degenerate
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("name, study", [
+        (name, study) for name, (*_, studies) in SCENARIOS.items()
+        for study in studies])
+    def test_studies(self, name, study, transform):
+        make, nt, _, _ = self.SCENARIOS[name]
+        sc = make()
+        sc = sc.with_grid(replace(sc.grid, nt=nt))  # the Courant bound's nt
+        grid, n = sc.grid, sc.n_comp
+        if study == "carleman":
+            members = [random_smooth_separable(grid, n, seed)
+                       for seed in range(2)]
+            members += [members[0].materialize(), GridFunction.zeros(grid, n)]
+        else:
+            members = [random_initial_profile(grid, n, seed)
+                       for seed in (3, 5)] + [np.zeros((grid.nx, n))]
+        to_scenario, to_member = TRANSFORMS[transform]
+        numbers, fields = self._study(study, sc, members)
+        other, other_fields = self._study(study, to_scenario(sc),
+                                          list(map(to_member, members)))
+        TestMirror._same(other, numbers)
+        assert other_fields == fields

@@ -21,6 +21,8 @@ from symhyp import (
     admissible_time_nodes,
     bump_profile,
     central_derivative,
+    classify_boundary,
+    classify_boundary_series,
     eig_bounds,
     random_initial_profile,
     random_smooth_separable,
@@ -317,11 +319,20 @@ class TestBoundaryFlux:
     def test_flux_is_the_h1_end_columns(self):
         samples = self.scenario(SymMatrixField.constant([[1.0]]),
                                 SymMatrixField.affine([[0.0]], [[1.0]])).samples
-        shape = (self.GRID.nt, 1, 1)
-        assert np.array_equal(samples.flux[1],
-                              np.broadcast_to(samples.h1[:, -1], shape))
-        assert np.array_equal(samples.flux[0],
-                              np.broadcast_to(-samples.h1[:, 0], shape))
+        assert np.array_equal(samples.flux[1], samples.h1[:, -1])
+        assert np.array_equal(samples.flux[0], -samples.h1[:, 0])
+
+    def test_static_flux_keeps_its_one_row(self):
+        sc = self.scenario(SymMatrixField.constant([[1.0]]),
+                           SymMatrixField.affine([[1.0]], [[1.0]]))
+        samples = sc.samples
+        assert samples.flux.shape == (2, 1, 1, 1)
+        assert samples.plus.shape == samples.minus.shape == (2, 1)
+        labels = classify_boundary_series(sc)
+        assert labels.shape == (2, self.GRID.nt)
+        for n, t in enumerate(self.GRID.t):
+            assert [labels[k, n] for k in range(2)] == \
+                list(classify_boundary(sc, t).values())
 
     def test_closure_reads_h0_and_h1_at_one_node(self):
         # h0 and h1 both vary in x, and the eigenvectors of (h1, h0) move

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from symhyp import (
     solve,
 )
 
-from symhyp.fields import check_same_grid
+from symhyp.fields import _apply, check_same_grid
 from symhyp.functionals import (
     CarlemanTerms,
     EnergyLedger,
@@ -45,6 +46,8 @@ from symhyp.functionals import (
     cumulative_trapezoid,
     trapezoid,
 )
+from symhyp.hypotheses import weight_matrix
+from symhyp.solver import _principal
 
 from conftest import (
     breathing_h0,
@@ -746,6 +749,51 @@ class TestConjugationDefect:
                                              [lambda x, t: 1.0 + 0 * x * t])
             defects.append(conjugation_defect(u, sc, s=1.0))
         assert defects[0] / defects[1] >= 3.5
+
+    @staticmethod
+    def varying():
+        """coupled-varying at T 4 (phi spans 3) and its seed-0 member."""
+        sc = build_scenario("coupled-varying", nx=41, t_final=4.0)
+        return sc, random_smooth_separable(sc.grid, 2, seed=0).materialize()
+
+    def test_finite_past_exp_overflow(self):
+        # s (max phi - min phi) = 1200 here, past the 709 at which
+        # exp(s phi) overflows; the gauged weight stays in (0, 1]
+        sc, u = self.varying()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(conjugation_defect(u, sc, s=400.0))
+
+    def test_peak_memory(self):
+        # samples and member are made before tracing; the weighted member
+        # and the stencils of one transform at a time, not the member's
+        # round trip through exp(s phi) and exp(-s phi)
+        sc, u = self.varying()
+        sc.samples
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conjugation_defect(u, sc, s=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * u.values.nbytes, (peak, u.values.nbytes)
+
+    def test_matches_the_ungauged_identity(self):
+        # exp(s phi) L_d(exp(-s phi) w) on the whole grid, scaled by
+        # exp(-s max phi) into the gauge; rounding about 1e-16 / h^2
+        sc = build_scenario("coupled-spd", nx=41, nt=81)
+        u = random_smooth_separable(sc.grid, 2, seed=3).materialize()
+        x, t = sc.grid.meshgrid()
+        e = np.exp(4.0 * (sc.eta(x) - sc.beta * t))[..., None]
+        w = e * u.values
+        samples = sc.samples
+        lhs = e * _principal(samples, w / e, sc.grid)
+        rhs = _principal(samples, w, sc.grid) - 4.0 * _apply(
+            weight_matrix(sc, samples.h0, samples.h1), w)
+        want = np.max(np.abs((lhs - rhs)[1:-1, 1:-1])) * np.exp(-4.0)
+        assert conjugation_defect(u, sc, s=4.0) == \
+            pytest.approx(want, rel=1e-11, abs=0.0)
 
     def test_random_smooth_fixture(self):
         sc = build_scenario("coupled-spd", nx=101, nt=101)

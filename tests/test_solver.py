@@ -303,7 +303,7 @@ def _einsum_march(scenario, initial, inflow=None):
     h1 = steps(samples.h1)[:, 1:-1]
     inv_h0 = steps(np.linalg.inv(samples.h0))[:, 1:-1]
     p = None if samples.p is None else steps(samples.p)[:, 1:-1]
-    flux = samples.flux[:, :rows]
+    flux = np.broadcast_to(samples.flux, (2, rows, n, n))
     h0b = np.broadcast_to(np.stack([samples.h0[:, 0], samples.h0[:, -1]]),
                           flux.shape)
     p_out, p_in = (np.broadcast_to(pr, (2, nt, n, n))
