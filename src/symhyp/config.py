@@ -193,7 +193,8 @@ _LEAVES = (
      lambda v: v if v == "auto" else float(v)),
     (None, "s_grid", "s_grid",
      lambda v: isinstance(v, (list, tuple)) and v and all(map(_positive, v)),
-     "must be a non-empty list of positive numbers", _floats),
+     "must be a non-empty list of positive numbers",
+     lambda v: tuple(sorted(set(_floats(v))))),
     ("ensemble", "size", "ensemble", _positive_int,
      "must be a positive integer", None),
     ("ensemble", "modes", "modes", _positive_int,

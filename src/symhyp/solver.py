@@ -80,19 +80,25 @@ def max_char_speed(scenario: Scenario) -> float:
     return float(scenario.samples.speeds.max())
 
 
+def _meets_courant(nt: int, steps: float) -> bool:
+    """The one Courant test, of `admissible_time_nodes` and `solve`: nt time
+    nodes make the T alpha / (cfl_factor hx) steps that the bound at speed
+    alpha asks for, to 1e-12 of a step."""
+    return nt - 1 >= steps - 1e-12
+
+
 def admissible_time_nodes(scenario: Scenario,
                           cfl_factor: float = CFL_DEFAULT) -> int:
     """Smallest nt honoring ht <= cfl_factor * hx / alpha on this grid;
     GridError when that is past MAX_TIME_NODES."""
     grid = scenario.grid
     alpha = max_char_speed(scenario)
-    if alpha == 0.0:
-        return 2
     steps = grid.t_final * alpha / (cfl_factor * grid.hx)
     if not steps < MAX_TIME_NODES:
         raise GridError(f"the Courant bound at speed {alpha!r} needs "
                         f"{steps:.3e} time steps (at most {MAX_TIME_NODES})")
-    return max(2, math.ceil(steps - 1e-12) + 1)
+    nt = max(2, math.ceil(steps))
+    return nt if _meets_courant(nt, steps) else nt + 1
 
 
 def auto_time_nodes(scenario: Scenario,
@@ -252,7 +258,7 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     speeds = samples.speeds
     alpha = float(speeds.max())
     cfl_used = alpha * ht / hx
-    if cfl_used > cfl_factor * (1 + 1e-12):
+    if not _meets_courant(nt, grid.t_final * alpha / (cfl_factor * hx)):
         x, t = grid.node_of(speeds, np.argmax)
         raise CflViolationError(
             f"time step ht={ht!r} violates the Courant bound "
@@ -333,14 +339,6 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
                        cfl_used=cfl_used, cfl_limit=cfl_factor)
 
 
-def _principal(samples, vals: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """h0 D_t v + h1 D_x v on dense samples (nt, nx, n): the principal part
-    that `residual` and `functionals.conjugation_defect` share."""
-    vt = central_derivative(vals, "t", grid)
-    vx = central_derivative(vals, "x", grid)
-    return _apply(samples.h0, vt) + _apply(samples.h1, vx)
-
-
 def residual(u: GridFunction | SeparableGridFunction,
              scenario: Scenario) -> GridFunction | SeparableGridFunction:
     """Apply the discrete operator: h0 D_t u + h1 D_x u + p u.
@@ -369,7 +367,8 @@ def residual(u: GridFunction | SeparableGridFunction,
             return SeparableGridFunction(
                 grid, x_factor, np.hstack([ut.t_factor, u.t_factor]))
         u = u.materialize()
-    out = _principal(samples, u.values, grid)
+    out = (_apply(samples.h0, central_derivative(u.values, "t", grid))
+           + _apply(samples.h1, central_derivative(u.values, "x", grid)))
     if samples.p is not None:
         out = out + _apply(samples.p, u.values)
     return GridFunction(grid, out)

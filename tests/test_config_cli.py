@@ -433,6 +433,15 @@ class TestCliRuns:
         assert out.count("pass") >= 4
         assert (tmp_path / "out" / "identities.csv").exists()
 
+    def test_identities_s_grid_is_a_set(self, tmp_path):
+        # --s 4,1,4 is the grid {1, 4}, as for the scan: one row per s
+        cfg = _cfg_file(tmp_path, "scenario: coupled-spd\ngrid: {nx: 41}\n")
+        for flag in ("4,1,4", "1,4"):
+            main(["identities", "--config", cfg, "--s", flag,
+                  "--out", str(tmp_path / flag)])
+        assert (tmp_path / "4,1,4" / "identities.csv").read_bytes() == \
+            (tmp_path / "1,4" / "identities.csv").read_bytes()
+
     @pytest.mark.filterwarnings("error")
     def test_identities_at_large_s_are_finite(self, tmp_path, capsys):
         # s (max phi - min phi) = 1000 here, past where exp(s phi)

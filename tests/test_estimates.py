@@ -525,9 +525,10 @@ TRANSFORMS = {"mirror": (mirror_scenario, mirror_member),
 class TestOtherScenarios:
     """The mirror and component-order relations beyond coupled-varying:
     n = 3 with speeds of both signs, the time-dependent speed
-    1 + 0.5 sin 4t, and boundary classes that switch at t = 1.  Each study
-    whose hypotheses hold runs with explicit members on the scenario's
-    grid at its admissible nt."""
+    1 + 0.5 sin 4t, boundary classes that switch at t = 1, and the other
+    three catalog scenarios at nx 41, wave-type's failing checks among
+    them.  Each study whose hypotheses hold runs with explicit members on
+    the scenario's grid at its admissible nt."""
 
     #: name: (scenario, admissible nt, whether the coefficients depend on x,
     #: the studies whose hypotheses hold)
@@ -539,6 +540,12 @@ class TestOtherScenarios:
             121, False, ("energy", "observability", "carleman")),
         "switch": (test_functionals.TestBoundaryClassSwitch.scenario,
                    81, False, ("energy",)),
+        **{name: (lambda name=name: build_scenario(name, nx=41), 161, False,
+                  studies)
+           for name, studies in (
+               ("transport", ("energy", "observability", "carleman")),
+               ("coupled-spd", ("energy", "observability", "carleman")),
+               ("wave-type", ("energy",)))},
     }
 
     @pytest.mark.parametrize("transform", TRANSFORMS)
@@ -609,3 +616,24 @@ class TestOtherScenarios:
                                           list(map(to_member, members)))
         TestMirror._same(other, numbers)
         assert other_fields == fields
+
+    @pytest.mark.parametrize("transform", TRANSFORMS)
+    @pytest.mark.parametrize("name", ["transport", "coupled-spd",
+                                      "wave-type"])
+    def test_identity_defects(self, name, transform):
+        make, *_ = self.SCENARIOS[name]
+        sc = make()
+        to_scenario, to_member = TRANSFORMS[transform]
+        other = to_scenario(sc)
+        w = random_smooth_separable(sc.grid, sc.n_comp, 0).materialize()
+        # the mirror keeps every bit; reversed components reverse the order
+        # of the ibp forms' n^2 terms (coupled-spd's x defect: 3.5e-14)
+        rel = 0.0 if transform == "mirror" else 1e-12
+        for axis in "xt":
+            assert ibp_identity_defect(to_member(w), other, axis) == \
+                pytest.approx(ibp_identity_defect(w, sc, axis), rel=rel,
+                              abs=0.0)
+        # rounding of about 1e-16 / h^2, as in TestMirror
+        for s in (1.0, 4.0, 16.0):
+            assert conjugation_defect(to_member(w), other, s) == \
+                pytest.approx(conjugation_defect(w, sc, s), rel=1e-11, abs=0.0)

@@ -26,6 +26,7 @@ from symhyp import (
     build_scenario,
     carleman_ratio,
     carleman_terms,
+    central_derivative,
     classify_boundary,
     conjugation_defect,
     energy_ledger,
@@ -47,7 +48,6 @@ from symhyp.functionals import (
     trapezoid,
 )
 from symhyp.hypotheses import weight_matrix
-from symhyp.solver import _principal
 
 from conftest import (
     breathing_h0,
@@ -781,19 +781,36 @@ class TestConjugationDefect:
 
     def test_matches_the_ungauged_identity(self):
         # exp(s phi) L_d(exp(-s phi) w) on the whole grid, scaled by
-        # exp(-s max phi) into the gauge; rounding about 1e-16 / h^2
-        sc = build_scenario("coupled-spd", nx=41, nt=81)
-        u = random_smooth_separable(sc.grid, 2, seed=3).materialize()
-        x, t = sc.grid.meshgrid()
-        e = np.exp(4.0 * (sc.eta(x) - sc.beta * t))[..., None]
-        w = e * u.values
-        samples = sc.samples
-        lhs = e * _principal(samples, w / e, sc.grid)
-        rhs = _principal(samples, w, sc.grid) - 4.0 * _apply(
-            weight_matrix(sc, samples.h0, samples.h1), w)
-        want = np.max(np.abs((lhs - rhs)[1:-1, 1:-1])) * np.exp(-4.0)
-        assert conjugation_defect(u, sc, s=4.0) == \
-            pytest.approx(want, rel=1e-11, abs=0.0)
+        # exp(-s max phi) into the gauge; rounding about 1e-16 / h^2.  On
+        # coupled-spd, and on coupled-varying at T 4 with h0 or h1 moving
+        # in t
+        from test_solver import _wobbling_flux  # it imports this module
+        varying = build_scenario("coupled-varying", nx=41, nt=161,
+                                 t_final=4.0)
+        for sc in (build_scenario("coupled-spd", nx=41, nt=81),
+                   replace(varying, h0=SymMatrixField(
+                       2, breathing_h0, time_independent=False)),
+                   replace(varying, h1=SymMatrixField(
+                       2, _wobbling_flux, time_independent=False))):
+            samples = sc.samples
+
+            def principal(v):  # h0 D_t v + h1 D_x v
+                return (_apply(samples.h0, central_derivative(v, "t", sc.grid))
+                        + _apply(samples.h1,
+                                 central_derivative(v, "x", sc.grid)))
+
+            u = random_smooth_separable(sc.grid, 2, seed=3).materialize()
+            x, t = sc.grid.meshgrid()
+            for s in (1.0, 4.0, 16.0):
+                e = np.exp(s * (sc.eta(x) - sc.beta * t))[..., None]
+                w = e * u.values
+                lhs = e * principal(w / e)
+                rhs = principal(w) - s * _apply(
+                    weight_matrix(sc, samples.h0, samples.h1), w)
+                want = np.max(np.abs((lhs - rhs)[1:-1, 1:-1])) * np.exp(
+                    -s * sc.eta(sc.grid.x).max())
+                assert conjugation_defect(u, sc, s) == \
+                    pytest.approx(want, rel=1e-11, abs=0.0), (sc.name, s)
 
     def test_random_smooth_fixture(self):
         sc = build_scenario("coupled-spd", nx=101, nt=101)

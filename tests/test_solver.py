@@ -138,6 +138,39 @@ class TestSolve:
         assert res.cfl_used == pytest.approx(0.5, rel=1e-12)
         assert res.cfl_used == max_char_speed(ok) * ok.grid.ht / ok.grid.hx
 
+    def test_courant_rule_shared_with_admissible_time_nodes(self):
+        # T alpha / (cfl hx) = 100.00000000005 steps, 5e-13 relative past
+        # the bound: one step short, for solve as for admissible_time_nodes
+        sc = build_scenario("transport", nx=101, nt=101,
+                            t_final=0.50000000000025)
+        assert admissible_time_nodes(sc) == 102
+        with pytest.raises(CflViolationError, match="need nt >= 102$"):
+            solve(sc, np.zeros((101, 1)))
+
+    @pytest.mark.parametrize("name", ["transport", "coupled-spd",
+                                      "coupled-varying", "wave-type",
+                                      "pulsing"])
+    def test_refused_exactly_below_admissible_time_nodes(self, name):
+        sc = test_functionals.TestSeparableMembers.scenario(name)
+        zeros = np.zeros((sc.grid.nx, sc.n_comp))
+        assert admissible_time_nodes(sc) == sc.grid.nt
+        solve(sc, zeros)
+        # the speeds of a grid are sampled at its own time nodes
+        short = sc.with_grid(replace(sc.grid, nt=sc.grid.nt - 1))
+        need = admissible_time_nodes(short)
+        assert need > short.grid.nt
+        with pytest.raises(CflViolationError, match=f"need nt >= {need}$"):
+            solve(short, zeros)
+
+    def test_grid_past_max_time_nodes_marches(self, monkeypatch):
+        # only the count of admissible_time_nodes is capped: a grid that
+        # meets the bound marches whatever its number of time nodes
+        sc = build_scenario("transport", nx=41, t_final=1.0)
+        monkeypatch.setattr(solver, "MAX_TIME_NODES", 10)
+        with pytest.raises(GridError, match="at most 10"):
+            admissible_time_nodes(sc)
+        assert len(solve(sc, np.zeros((41, 1))).u.values) == sc.grid.nt > 10
+
     @pytest.mark.parametrize("defect, error, match", [
         ("asymmetric", AsymmetricFieldError, "field h1 symmetry defect"),
         ("nan", FieldEvaluationError, r"field h1 non-finite .* x=.*, t=")],
