@@ -219,12 +219,12 @@ _LEAVES = (
 
 
 def _section(doc: dict, section: str, errors: list[str]) -> dict:
-    """The mapping of a config section; {} when absent or refused."""
-    node = doc.get(section, {})
+    """The mapping of a config section; {} when absent, null or refused."""
+    node = doc.get(section)
+    if node is None:
+        return {}
     if section == "ensemble" and _is_int(node):
         node = {"size": node}  # `ensemble: n` is shorthand for {size: n}
-    if node is None and section in ("ensemble", "initial"):
-        return {}
     if not isinstance(node, dict):
         errors.append(f"{section} must be a mapping (got {node!r})")
         return {}
@@ -268,7 +268,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         if value is None:
             continue
         section, _, key = path.rpartition(".")
-        node = doc.setdefault(section, {}) if section else doc
+        if section and doc.get(section) is None:
+            doc[section] = {}  # a null section is an empty one
+        node = doc[section] if section else doc
         if isinstance(node, dict):
             node[key] = value
 

@@ -338,7 +338,7 @@ class SymMatrixField(MatrixField):
 
     @staticmethod
     def _check_literal(mat: np.ndarray) -> None:
-        defect = float(np.max(np.abs(mat - mat.T)))
+        defect = _asymmetry(mat)
         if defect > SYMMETRY_TOL:
             raise AsymmetricFieldError(
                 f"literal matrix has symmetry defect {defect:.3e}", defect)

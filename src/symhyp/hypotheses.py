@@ -85,21 +85,14 @@ class CoercivityCheck:
         return self.value
 
 
-def weight_matrix(scenario: Scenario, h0: np.ndarray,
-                  h1: np.ndarray) -> np.ndarray:
-    """(d_t phi) h0 + (d_x phi) h1 = -beta h0 + eta'(x) h1 on coefficient
-    rows (rows, nx, n, n) of the scenario's samples, whole or one row
-    block; the result has their broadcast shape."""
-    etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
-    return -scenario.beta * h0 + etax * h1
-
-
-def _coercivity(name: str, scenario: Scenario, matrices) -> CoercivityCheck:
-    """Grid minimum of lambda_min(matrices(h0 rows, h1 rows)), through
+def _coercivity(name: str, scenario: Scenario, beta: float) -> CoercivityCheck:
+    """Grid minimum of lambda_min(-beta h0 + eta'(x) h1), the weight matrix
+    (d_t phi) h0 + (d_x phi) h1 of phi = eta(x) - beta t, through
     `node_map`, so a time-dependent coefficient's matrices never exist for
     every node at once."""
+    etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
     lmin = scenario.samples.node_map(
-        lambda h0, h1: eig_bounds(matrices(h0, h1))[0])
+        lambda h0, h1: eig_bounds(-beta * h0 + etax * h1)[0])
     value = float(lmin.min())
     return CoercivityCheck(name, value, value > 0.0,
                            *scenario.grid.node_of(lmin))
@@ -112,14 +105,13 @@ def check_weight_coercivity(scenario: Scenario) -> CoercivityCheck:
     in the conjugated system; the weighted estimate needs it uniformly
     positive definite.  Fails with the worst node recorded.
     """
-    return _coercivity("weight_coercivity", scenario,
-                       lambda h0, h1: weight_matrix(scenario, h0, h1))
+    return _coercivity("weight_coercivity", scenario, scenario.beta)
 
 
 def check_eta_coercivity(scenario: Scenario) -> CoercivityCheck:
-    """Smallest eigenvalue of (d_x eta) h1 over all nodes (delta0)."""
-    etax = scenario.eta.derivative(scenario.grid.x)[None, :, None, None]
-    return _coercivity("eta_coercivity", scenario, lambda h0, h1: etax * h1)
+    """Smallest eigenvalue of (d_x eta) h1 over all nodes (delta0): the
+    weight matrix at beta = 0."""
+    return _coercivity("eta_coercivity", scenario, 0.0)
 
 
 def check_h0_bounds(scenario: Scenario) -> CoercivityCheck:

@@ -80,11 +80,12 @@ def max_char_speed(scenario: Scenario) -> float:
     return float(scenario.samples.speeds.max())
 
 
-def _meets_courant(nt: int, steps: float) -> bool:
-    """The one Courant test, of `admissible_time_nodes` and `solve`: nt time
-    nodes make the T alpha / (cfl_factor hx) steps that the bound at speed
-    alpha asks for, to 1e-12 of a step."""
-    return nt - 1 >= steps - 1e-12
+def _time_nodes(steps: float) -> float:
+    """The one Courant count, of `admissible_time_nodes` and `solve`: the
+    fewest nt >= 2 with nt - 1 >= steps - 1e-12, for the T alpha / (cfl_factor
+    hx) steps of the bound at speed alpha; inf when steps is not finite."""
+    return max(2, math.ceil(steps - 1e-12) + 1) if math.isfinite(steps) \
+        else math.inf
 
 
 def admissible_time_nodes(scenario: Scenario,
@@ -97,8 +98,7 @@ def admissible_time_nodes(scenario: Scenario,
     if not steps < MAX_TIME_NODES:
         raise GridError(f"the Courant bound at speed {alpha!r} needs "
                         f"{steps:.3e} time steps (at most {MAX_TIME_NODES})")
-    nt = max(2, math.ceil(steps))
-    return nt if _meets_courant(nt, steps) else nt + 1
+    return _time_nodes(steps)
 
 
 def auto_time_nodes(scenario: Scenario,
@@ -258,13 +258,13 @@ def solve(scenario: Scenario, initial, inflow: dict | None = None,
     speeds = samples.speeds
     alpha = float(speeds.max())
     cfl_used = alpha * ht / hx
-    if not _meets_courant(nt, grid.t_final * alpha / (cfl_factor * hx)):
+    need = _time_nodes(grid.t_final * alpha / (cfl_factor * hx))
+    if nt < need:
         x, t = grid.node_of(speeds, np.argmax)
         raise CflViolationError(
             f"time step ht={ht!r} violates the Courant bound "
             f"{cfl_factor!r}*hx/alpha with alpha={alpha!r} at x={x!r}, "
-            f"t={t!r}; need nt >= "
-            f"{admissible_time_nodes(scenario, cfl_factor)}")
+            f"t={t!r}; need nt >= {need}")
 
     # False when a coefficient depends on t
     static = max(len(speeds), 1 if samples.p is None else len(samples.p)) == 1

@@ -565,7 +565,8 @@ def _scalar_inline(h0, h1):
 
 #: configs that once ended in a traceback, each with a stderr line it is
 #: now refused with: mixed key types once broke the sorting of unknown
-#: keys, and the last three only fail when the scenario is sampled
+#: keys, and the last three only fail when the scenario is sampled; then
+#: the refusals of malformed field specs and documents
 REFUSED_CONFIGS = {
     "mixed-top-keys": (MINIMAL + "1: x\nbogus: 2\n",
                        "config error: unknown key 'bogus'"),
@@ -591,7 +592,50 @@ REFUSED_CONFIGS = {
     "infinite-courant-bound": (
         _scalar_inline("[[1]]", "{constant: [[1e308]]}"),
         "config error: scenario: the Courant bound at speed 1e+308"),
+    "non-square-literal": (
+        _scalar_inline("[[1]]", "{constant: [[1, 2]]}"),
+        "config error: scenario.h1: matrix literal must be square "
+        "(got shape (1, 2))"),
+    "affine-without-slope": (
+        _scalar_inline("[[1]]", "{affine: {base: [[1]]}}"),
+        "config error: scenario.h1: affine spec needs base and slope"),
+    "unknown-field-kind": (
+        _scalar_inline("[[1]]", "{quadratic: [[1]]}"),
+        "config error: scenario.h1: unknown field kind 'quadratic' "
+        "(use constant or affine)"),
+    "list-document": ("- scenario: transport\n",
+                      "config error: config must be a mapping, got list"),
+    "size-mismatch": (
+        "scenario:\n  n: 2\n  h0: {constant: [[1]]}\n"
+        "  h1: {constant: [[1, 0], [0, 1]]}\nT: 1.0\nweight: {beta: 0.5}\n",
+        "config error: scenario.h0: size 1 does not match n=2"),
 }
+
+
+class TestNullSections:
+    """A section given with no value is an empty one."""
+
+    def test_flags_land_in_null_sections(self, tmp_path, capsys):
+        texts = {"null": MINIMAL + "grid:\nweight:\n", "plain": MINIMAL}
+        outs = []
+        for name, text in texts.items():
+            cfg = _cfg_file(tmp_path, text, f"{name}.yaml")
+            out = tmp_path / name
+            assert main(["check", "--config", cfg, "--nx", "21",
+                         "--out", str(out)]) == 0
+            outs.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            outs.append((out / "hypotheses.txt").read_bytes())
+        assert " nx=21 " in outs[0]
+        assert outs[:2] == outs[2:]
+
+    def test_inline_scenario_with_null_weight(self, tmp_path, capsys):
+        cfg = _cfg_file(tmp_path, _scalar_inline("[[1]]", "{constant: [[1]]}")
+                        .replace("weight: {beta: 0.5}", "weight:"))
+        assert main(["check", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: weight.beta is required for inline scenarios "
+            "(a number or 'auto')\n")
 
 
 class TestRefusedConfigs:
@@ -606,6 +650,17 @@ class TestRefusedConfigs:
         assert all(m.startswith("config error: ")
                    for m in err.splitlines()), err
 
+
+    def test_invalid_yaml(self, tmp_path, capsys):
+        # PyYAML's message carries its problem mark on the lines after the
+        # first, so this refusal is not a row of REFUSED_CONFIGS
+        cfg = _cfg_file(tmp_path, "scenario: [transport\n")
+        assert main(["check", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid YAML: while parsing a "
+                              "flow sequence\n"), err
+        assert "expected ',' or ']', but got '<stream end>'" in err
 
     @pytest.mark.filterwarnings("error")
     def test_sampling_refusal_does_not_depend_on_nt(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from symhyp import (
     SpaceTimeGrid,
     SpatialWeight,
     SymMatrixField,
+    VectorField,
     admissible_time_nodes,
     build_scenario,
     bump_profile,
@@ -364,6 +365,23 @@ class TestVerifyEnergyEstimate:
         report = verify_energy_estimate(sc, members=[np.zeros((51, 1))])
         assert report.degenerate == 1
         assert math.isnan(report.c_energy)
+
+
+class TestSourceDropped:
+    """The marching studies solve the homogeneous system: a scenario's
+    source changes none of their ratios."""
+
+    @pytest.mark.parametrize("study", [estimate_observability,
+                                       verify_energy_estimate])
+    def test_ratios_equal_unforced(self, study):
+        sc = build_scenario("coupled-varying", nx=41, t_final=1.0)
+        forced = replace(sc, source=VectorField(2, lambda x, t: np.stack(
+            [np.sin(x + t), x * t], axis=-1)))
+        members = [random_initial_profile(sc.grid, 2, seed) for seed in (0, 1)]
+        for kwargs in ({"members": members}, {"ensemble": 2, "seed": 3}):
+            ratios = study(sc, **kwargs).ratios
+            assert study(forced, **kwargs).ratios == ratios
+            assert all(map(math.isfinite, ratios))
 
 
 class TestMirror:

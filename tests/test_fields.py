@@ -1,6 +1,9 @@
 """Grid, field sampling, eigenvalue bounds, derivatives, and ensembles."""
 
+import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import scipy.linalg
 
 from symhyp import (
     AsymmetricFieldError,
+    BetaSelectionError,
     FieldEvaluationError,
     GridError,
     GridFunction,
@@ -18,18 +22,24 @@ from symhyp import (
     SpaceTimeGrid,
     SpatialWeight,
     SymMatrixField,
+    VectorField,
     admissible_time_nodes,
     bump_profile,
     central_derivative,
     classify_boundary,
     classify_boundary_series,
     eig_bounds,
+    minimal_time,
     random_initial_profile,
     random_smooth_separable,
     sample_field,
+    select_beta,
+    solve,
     symmetry_defect,
 )
-from symhyp.fields import _char_speeds, _closure_projectors
+from symhyp.fields import _char_speeds, _closure_projectors, check_same_grid
+
+from conftest import scalar_scenario
 
 
 class TestSpaceTimeGrid:
@@ -542,3 +552,64 @@ class TestRandomEnsembles:
         x = unit_grid.x
         assert np.all(prof[(x <= 0.0) | (x >= 0.4), 0] == 0.0)
         assert np.all(prof[(x > 0.05) & (x < 0.35), 0] > 0.0)
+
+
+def _unit():
+    """A scalar scenario on 21 x 41 nodes, which meets the Courant bound."""
+    return scalar_scenario(nx=21, nt=41)
+
+
+#: library refusals, each with its exception type and its whole message
+LIBRARY_REFUSALS = {
+    "scenario-h0-size": (
+        lambda: replace(_unit(), h0=SymMatrixField.constant(np.eye(2))),
+        ValueError, "h0 has size 2, scenario expects 1"),
+    "scenario-p-size": (
+        lambda: replace(_unit(), p=MatrixField.constant(np.eye(2))),
+        ValueError, "p has wrong system size"),
+    "scenario-source-size": (
+        lambda: replace(_unit(), source=VectorField(2, lambda x, t: 0 * x)),
+        ValueError, "source has wrong system size"),
+    "scenario-beta": (lambda: replace(_unit(), beta=math.inf),
+                      ValueError, "beta must be finite and >= 0 (got inf)"),
+    "solve-initial-shape": (
+        lambda: solve(_unit(), np.zeros((20, 1))), GridMismatchError,
+        "initial data shape (20, 1) != (nx, n) = (21, 1)"),
+    "derivative-axis": (
+        lambda: central_derivative(np.zeros((3, 3)), "y", _unit().grid),
+        ValueError, "axis must be 'x' or 't' (got 'y')"),
+    "derivative-grid": (
+        lambda: central_derivative(np.zeros((3, 3)), "x"),
+        ValueError, "grid is required when differentiating a raw array"),
+    "initial-profile-modes": (
+        lambda: random_initial_profile(_unit().grid, 1, 0, modes=0),
+        ValueError, "modes must be >= 1 (got 0)"),
+    "bump-support": (lambda: bump_profile(_unit().grid, (0.5, 0.5)),
+                     ValueError, "empty support interval (0.5, 0.5)"),
+    "constant-literal": (
+        lambda: MatrixField.constant([[1.0, 2.0]]), ValueError,
+        "matrix must be square (got shape (1, 2))"),
+    "affine-literal": (
+        lambda: MatrixField.affine([[1.0, 2.0]], [[1.0, 2.0]]), ValueError,
+        "base and slope must be square and equally sized"),
+    "minimal-time-delta0": (
+        lambda: minimal_time(SpatialWeight.linear(1.0), 0.0, 1.0,
+                             _unit().grid),
+        ValueError, "delta0 must be positive (got 0.0)"),
+    "select-beta-delta0": (
+        lambda: select_beta(0.0, 1.0, SpatialWeight.linear(1.0),
+                            _unit().grid),
+        BetaSelectionError, "delta0 must be positive (got 0.0)"),
+    "same-grid-components": (
+        lambda: check_same_grid(GridFunction(_unit().grid,
+                                             np.zeros((41, 21, 2))), _unit()),
+        GridMismatchError, "component count 2 != scenario size 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(LIBRARY_REFUSALS))
+def test_library_refusal(name):
+    call, error, message = LIBRARY_REFUSALS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is error

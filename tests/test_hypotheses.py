@@ -27,7 +27,6 @@ from symhyp import (
     select_beta,
 )
 from symhyp.fields import ROW_BLOCK
-from symhyp.hypotheses import weight_matrix
 
 from conftest import scalar_scenario, system_scenario
 
@@ -268,7 +267,7 @@ class TestTimeDependentSamples:
         sc = self.scenario()
         etax = sc.eta.derivative(sc.grid.x)[None, :, None, None]
         for check, mats in ((check_weight_coercivity,
-                             weight_matrix(sc, sc.samples.h0, sc.samples.h1)),
+                             -sc.beta * sc.samples.h0 + etax * sc.samples.h1),
                             (check_eta_coercivity, etax * sc.samples.h1)):
             res = check(sc)
             lmin = eig_bounds(mats)[0]

@@ -43,11 +43,13 @@ from symhyp import (
 )
 from symhyp import fields, solver
 from symhyp.catalog import CatalogEntry
+from symhyp.cli import main
 from symhyp.fields import ROW_BLOCK, SPEED_TOL, _closure_projectors
 from symhyp.functionals import MarchRecord
 from symhyp.solver import _inflow_data, _normalize_initial
 
 import test_functionals
+import test_hypotheses
 from conftest import breathing_h0, scalar_scenario, system_scenario
 
 
@@ -138,7 +140,8 @@ class TestSolve:
         assert res.cfl_used == pytest.approx(0.5, rel=1e-12)
         assert res.cfl_used == max_char_speed(ok) * ok.grid.ht / ok.grid.hx
 
-    def test_courant_rule_shared_with_admissible_time_nodes(self):
+    def test_courant_rule_shared_with_admissible_time_nodes(self, tmp_path,
+                                                            capsys):
         # T alpha / (cfl hx) = 100.00000000005 steps, 5e-13 relative past
         # the bound: one step short, for solve as for admissible_time_nodes
         sc = build_scenario("transport", nx=101, nt=101,
@@ -146,6 +149,38 @@ class TestSolve:
         assert admissible_time_nodes(sc) == 102
         with pytest.raises(CflViolationError, match="need nt >= 102$"):
             solve(sc, np.zeros((101, 1)))
+        # past MAX_TIME_NODES, and for an unbounded speed, solve still
+        # refuses with the count it needs: only admissible_time_nodes caps it
+        fast = scalar_scenario(nx=41, nt=41, beta=1.0, h1=1e9)
+        with pytest.raises(CflViolationError, match=r"alpha=1000000000\.0 "
+                           r"at x=0\.0, t=0\.0; need nt >= 80000000001$"):
+            solve(fast, np.zeros((41, 1)))
+        with pytest.raises(GridError, match="at most 10000000"):
+            admissible_time_nodes(fast)
+        with np.errstate(over="ignore"):
+            unbounded = scalar_scenario(nx=41, nt=41, h0=1e-300, h1=1e300)
+            with pytest.raises(CflViolationError,
+                               match=r"alpha=inf .*; need nt >= inf$"):
+                solve(unbounded, np.zeros((41, 1)))
+        # the count keeps its values on the catalog and time-dependent speeds
+        for name, count in (("transport", 81), ("coupled-spd", 81),
+                            ("coupled-varying", 291), ("wave-type", 81)):
+            assert admissible_time_nodes(
+                build_scenario(name, nx=41, t_final=1.0)) == count, name
+        assert admissible_time_nodes(
+            test_functionals.TestSeparableMembers.scenario("pulsing")) == 121
+        assert admissible_time_nodes(
+            test_hypotheses.TestTimeDependentSamples.scenario()) == 1601
+        # nt: auto past MAX_TIME_NODES is a config error, with exit 2
+        cfg = tmp_path / "fast.yaml"
+        cfg.write_text("scenario:\n  n: 1\n  h0: {constant: [[1]]}\n"
+                       "  h1: {constant: [[1e9]]}\ngrid: {nx: 41}\nT: 1.0\n"
+                       "weight: {beta: 1.0}\n")
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scenario: the Courant bound at speed "
+            "1000000000.0 needs 8.000e+10 time steps (at most 10000000)\n")
 
     @pytest.mark.parametrize("name", ["transport", "coupled-spd",
                                       "coupled-varying", "wave-type",
