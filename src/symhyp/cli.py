@@ -41,7 +41,6 @@ from .estimates import (
 )
 from .fields import (
     SIDES,
-    GridFunction,
     Scenario,
     bump_profile,
     random_initial_profile,
@@ -349,12 +348,9 @@ def _run_energy(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
 def _run_identities(cfg: RunConfig, scenario: Scenario, out: Path) -> int:
     def defects(sc: Scenario) -> list[float]:
         # the member dies on return, so one dense member is alive at a time
-        # (two while it is copied); component-major, where the ibp defect's
-        # three-operand einsum runs faster with the same bits
         w = random_smooth_separable(sc.grid, sc.n_comp, cfg.seed,
                                     modes=cfg.modes,
                                     decay=cfg.decay).materialize()
-        w = GridFunction(sc.grid, np.asfortranarray(w.values))
         return [ibp_identity_defect(w, sc, "x"),
                 ibp_identity_defect(w, sc, "t"),
                 *(conjugation_defect(w, sc, s) for s in cfg.s_grid)]

@@ -260,6 +260,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         doc = yaml.load(text, Loader=_exponent_floats(yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError([f"invalid YAML: {exc}"]) from exc
+    except (ValueError, AttributeError, KeyError) as exc:
+        # what PyYAML's safe constructors raise on a tagged value that does
+        # not parse: !!int x, !!float x, !!bool x, !!timestamp x
+        raise ConfigError([f"invalid YAML: a tagged value does not parse "
+                           f"({type(exc).__name__}: {exc})"]) from exc
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

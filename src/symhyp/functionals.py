@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldEvaluationError
+from .errors import FieldEvaluationError, GridError
 from .fields import (
+    ROW_BLOCK,
     GridFunction,
     Scenario,
     SeparableGridFunction,
     _apply,
-    central_derivative,
     check_same_grid,
+    row_block,
 )
 from .solver import SolveResult
 
@@ -292,11 +293,35 @@ class MarchRecord:
 # discrete identity defects
 # ---------------------------------------------------------------------------
 
+def _central(v: np.ndarray, ax: int, h: float) -> np.ndarray:
+    """np.gradient's central differences along axis ax (0 t, 1 x), at the
+    nodes inside the two ends of v."""
+    ends = (slice(None),) * ax
+    return (v[ends + (slice(2, None),)] - v[ends + (slice(-2),)]) / (2.0 * h)
+
+
+def _max_over_blocks(defect, values: np.ndarray, halo: int) -> float:
+    """max |defect(lo, hi, block)| over time rows halo .. nt - 1 - halo of
+    a member's values, ROW_BLOCK rows at a time: block is rows lo .. hi - 1
+    of values, the block's rows and `halo` more on each side."""
+    nt = len(values)
+    if nt <= 2 * halo:
+        raise GridError(f"need >= 3 nodes along t (got {nt})")
+    peaks = []
+    for k in range(halo, nt - halo, ROW_BLOCK):
+        lo, hi = k - halo, min(k + ROW_BLOCK, nt - halo) + halo
+        # component-major, time fastest: each stencil and contraction runs
+        # along the block's longest axis, and the layout moves no bit
+        block = np.asfortranarray(values[lo:hi])
+        peaks.append(np.max(np.abs(defect(lo, hi, block))))
+    return float(np.max(peaks))
+
+
 def ibp_identity_defect(w: GridFunction, scenario: Scenario,
                         axis: str) -> float:
     """Defect of the symmetric-matrix product-rule identity.
 
-    Measures max over interior nodes of
+    Measures max over the nodes inside the two ends along `axis` of
     (R dw . w) - 1/2 d(R w . w) + 1/2 ((dR) w . w), with R the samples of
     h1 along "x" and of h0 along "t", and every derivative the second-order
     central difference along `axis`.  A one-row R has no dR along t.
@@ -306,18 +331,25 @@ def ibp_identity_defect(w: GridFunction, scenario: Scenario,
     check_same_grid(w, scenario)
     grid = scenario.grid
     rm = scenario.samples.h1 if axis == "x" else scenario.samples.h0
-    dw = central_derivative(w.values, axis, grid)
+    ax, h, halo = (1, grid.hx, 0) if axis == "x" else (0, grid.ht, 1)
+    inner = (slice(None),) * ax + (slice(1, -1),)
+
     # the defect cancels O(1) terms down to O(h^2), so it reads their last
     # bits: all three forms keep one three-operand contraction
-    def form(mats, vecs):
-        return np.einsum("txab,txb,txa->tx", mats, vecs, w.values)
+    def form(mats, vecs, ws):
+        return np.einsum("txab,txb,txa->tx", mats, vecs, ws)
 
-    dquad = central_derivative(form(rm, w.values), axis, grid)
-    defect = form(rm, dw) - 0.5 * dquad
-    if axis == "x" or len(rm) > 1:
-        defect += 0.5 * form(central_derivative(rm, axis, grid), w.values)
-    interior = defect[:, 1:-1] if axis == "x" else defect[1:-1]
-    return float(np.max(np.abs(interior)))
+    def block(lo, hi, wb):
+        rb, = row_block((rm,), lo, hi)
+        r_in = rb if len(rm) == 1 and axis == "t" else rb[inner]
+        w_in = wb[inner]
+        defect = form(r_in, _central(wb, ax, h), w_in) - 0.5 * _central(
+            form(rb, wb, wb), ax, h)
+        if axis == "x" or len(rm) > 1:
+            defect += 0.5 * form(_central(rb, ax, h), w_in, w_in)
+        return defect
+
+    return _max_over_blocks(block, w.values, halo)
 
 
 def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
@@ -333,17 +365,23 @@ def conjugation_defect(u: GridFunction, scenario: Scenario, s: float) -> float:
     check_same_grid(u, scenario)
     grid = scenario.grid
     wx, wt, _ = _gauge(scenario, s)
-    e = wt[:, None, None] * wx[:, None]
-    w = e * u.values
+    rate_x = s * scenario.eta.derivative(grid.x)[1:-1, None]
 
-    def commutator(axis, rate):  # in place: fewer member-sized temporaries
-        c = central_derivative(u.values, axis, grid)
-        c *= e
-        c -= central_derivative(w, axis, grid)
-        c += (s * rate) * w
-        return c
+    def block(lo, hi, ub):
+        e = (wx[:, None] * wt[lo:hi]).T[:, :, None]  # time fastest, as ub
+        w = e * ub
 
-    defect = _apply(scenario.samples.h0, commutator("t", -scenario.beta))
-    defect += _apply(scenario.samples.h1, commutator(
-        "x", scenario.eta.derivative(grid.x)[:, None]))
-    return float(np.max(np.abs(defect[1:-1, 1:-1])))
+        def commutator(ax, h, rate, cut):  # cut: the interior across ax
+            c = _central(ub[cut], ax, h)
+            c *= e[1:-1, 1:-1]
+            c -= _central(w[cut], ax, h)
+            c += rate * w[1:-1, 1:-1]
+            return c
+
+        h0, h1 = (r[:, 1:-1] for r in row_block(
+            (scenario.samples.h0, scenario.samples.h1), lo + 1, hi - 1))
+        return (_apply(h0, commutator(0, grid.ht, s * -scenario.beta,
+                                      np.s_[:, 1:-1]))
+                + _apply(h1, commutator(1, grid.hx, rate_x, np.s_[1:-1])))
+
+    return _max_over_blocks(block, u.values, 1)

@@ -367,8 +367,8 @@ def residual(u: GridFunction | SeparableGridFunction,
             return SeparableGridFunction(
                 grid, x_factor, np.hstack([ut.t_factor, u.t_factor]))
         u = u.materialize()
-    out = (_apply(samples.h0, central_derivative(u.values, "t", grid))
-           + _apply(samples.h1, central_derivative(u.values, "x", grid)))
+    out = (_apply(samples.h0, central_derivative(u, "t").values)
+           + _apply(samples.h1, central_derivative(u, "x").values))
     if samples.p is not None:
         out = out + _apply(samples.p, u.values)
     return GridFunction(grid, out)

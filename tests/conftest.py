@@ -20,6 +20,8 @@ from symhyp import (
     SpatialWeight,
     SymMatrixField,
 )
+from symhyp.fields import _apply
+from symhyp.functionals import _gauge
 
 
 def midpoint_2d(fn, grid: SpaceTimeGrid) -> float:
@@ -145,3 +147,51 @@ def permute_member(u):
 @pytest.fixture
 def unit_grid():
     return SpaceTimeGrid(0.0, 1.0, 1.0, 101, 101)
+
+
+def _gradient(v, axis: str, grid: SpaceTimeGrid):
+    """np.gradient along "x" (axis 1) or "t" (axis 0), one-sided second
+    order at both ends: the whole-grid difference of the reference defects."""
+    if axis == "x":
+        return np.gradient(v, grid.hx, axis=1, edge_order=2)
+    return np.gradient(v, grid.ht, axis=0, edge_order=2)
+
+
+def whole_grid_ibp_defect(w: GridFunction, sc: Scenario, axis: str) -> float:
+    """`ibp_identity_defect` on the whole grid at once, end stencils and
+    all, as it was before it ran in time blocks: the reference that the
+    blocked defect must equal bit for bit."""
+    rm = sc.samples.h1 if axis == "x" else sc.samples.h0
+
+    def form(mats, vecs):
+        return np.einsum("txab,txb,txa->tx", mats, vecs, w.values)
+
+    defect = (form(rm, _gradient(w.values, axis, sc.grid))
+              - 0.5 * _gradient(form(rm, w.values), axis, sc.grid))
+    if axis == "x" or len(rm) > 1:
+        defect += 0.5 * form(_gradient(rm, axis, sc.grid), w.values)
+    interior = defect[:, 1:-1] if axis == "x" else defect[1:-1]
+    return float(np.max(np.abs(interior)))
+
+
+def whole_grid_conjugation_defect(u: GridFunction, sc: Scenario,
+                                  s: float) -> float:
+    """`conjugation_defect` on the whole grid at once, as it was before it
+    ran in time blocks: the reference that the blocked defect must equal
+    bit for bit."""
+    grid = sc.grid
+    wx, wt, _ = _gauge(sc, s)
+    e = wt[:, None, None] * wx[:, None]
+    w = e * u.values
+
+    def commutator(axis, rate):
+        c = _gradient(u.values, axis, grid)
+        c *= e
+        c -= _gradient(w, axis, grid)
+        c += (s * rate) * w
+        return c
+
+    defect = _apply(sc.samples.h0, commutator("t", -sc.beta))
+    defect += _apply(sc.samples.h1, commutator(
+        "x", sc.eta.derivative(grid.x)[:, None]))
+    return float(np.max(np.abs(defect[1:-1, 1:-1])))

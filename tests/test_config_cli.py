@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 import weakref
@@ -409,6 +410,25 @@ class TestCliRuns:
         assert "degenerate=" not in captured.out
         assert "VIOLATION" not in captured.out
 
+    def test_infinite_speed_refused_without_a_warning(self, tmp_path):
+        # h1 / h0 overflows to an infinite speed: solve refuses it in one
+        # error line, and numpy prints no RuntimeWarning on the way
+        cfg = _cfg_file(tmp_path, "scenario:\n  n: 1\n"
+                                  "  h0: {constant: [[1e-300]]}\n"
+                                  "  h1: {constant: [[1e300]]}\n"
+                                  "grid: {nx: 41, nt: 41}\nT: 1.0\n"
+                                  "weight: {beta: 1.0}\n")
+        src = str(Path(symhyp.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "symhyp", "solve", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: time step ht=0.025 violates "
+                                     "the Courant bound"), out.stderr
+        assert len(out.stderr.splitlines()) == 1, out.stderr
+
     def test_import_does_not_load_yaml(self):
         src = str(Path(symhyp.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -609,6 +629,16 @@ REFUSED_CONFIGS = {
         "scenario:\n  n: 2\n  h0: {constant: [[1]]}\n"
         "  h1: {constant: [[1, 0], [0, 1]]}\nT: 1.0\nweight: {beta: 0.5}\n",
         "config error: scenario.h0: size 1 does not match n=2"),
+    # tagged values whose safe constructor raises a plain error, not a
+    # YAMLError; the timestamp one names no value, so only its type is read
+    **{f"tagged-{tag}": (
+        MINIMAL + f"seed: !!{tag} x\n",
+        "config error: invalid YAML: a tagged value does not parse "
+        f"({error}") for tag, error in (
+            ("int", "ValueError: invalid literal for int() with base 10: 'x'"),
+            ("float", "ValueError: could not convert string to float: 'x'"),
+            ("bool", "KeyError: 'x'"),
+            ("timestamp", "AttributeError: "))},
 }
 
 
